@@ -18,17 +18,60 @@
  * The output file is append-only: every invocation adds ONE timestamped
  * JSON row (a JSONL file), so the committed BENCH_simspeed.json
  * accumulates the perf trajectory across PRs instead of losing history
- * on each regeneration. With --profile the cycle-loop self-profiler
- * (obs/profiler.h) runs during the timed repeats and each point carries
- * per-phase host-time percentages, so a regression row also says WHERE
- * the time moved.
+ * on each regeneration. Each row carries a host fingerprint (CPU model,
+ * online CPUs, compiler, build type) next to its instruction counts:
+ * only rows with equal fingerprints and counts are comparable. With
+ * --profile the cycle-loop self-profiler (obs/profiler.h) runs during
+ * the timed repeats and each point carries per-phase host-time
+ * percentages, so a regression row also says WHERE the time moved.
  */
 
 #include "bench_util.h"
 
+#include <unistd.h>
+
 #include <chrono>
 #include <ctime>
 #include <fstream>
+
+#ifndef UDP_BUILD_TYPE
+#define UDP_BUILD_TYPE "unknown"
+#endif
+
+namespace {
+
+/** The "model name" of the first CPU in /proc/cpuinfo, or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0) {
+            continue;
+        }
+        std::size_t v = line.find_first_not_of(" \t", line.find(':') + 1);
+        std::string model = v == std::string::npos ? "" : line.substr(v);
+        // Keep the JSON row valid whatever the kernel reports.
+        std::erase_if(model, [](char c) { return c == '"' || c == '\\'; });
+        return model.empty() ? "unknown" : model;
+    }
+    return "unknown";
+}
+
+const char*
+compilerId()
+{
+#if defined(__clang__)
+    return "clang " __clang_version__;
+#elif defined(__GNUC__)
+    return "gcc " __VERSION__;
+#else
+    return "unknown";
+#endif
+}
+
+} // namespace
 
 int
 main(int argc, char** argv)
@@ -154,8 +197,13 @@ main(int argc, char** argv)
                      outPath.c_str());
         return 1;
     }
+    long nproc = sysconf(_SC_NPROCESSORS_ONLN);
     out << "{\"bench\": \"perf_simspeed\", \"ts\": \"" << ts
-        << "\", \"warmup_instrs\": " << o.warmupInstrs
+        << "\", \"host\": {\"cpu_model\": \"" << cpuModel()
+        << "\", \"nproc\": " << (nproc > 0 ? nproc : 0)
+        << ", \"compiler\": \"" << compilerId()
+        << "\", \"build_type\": \"" << UDP_BUILD_TYPE
+        << "\"}, \"warmup_instrs\": " << o.warmupInstrs
         << ", \"measure_instrs\": " << o.measureInstrs
         << ", \"repeat\": " << repeat << ", \"points\": [";
     for (std::size_t i = 0; i < points.size(); ++i) {

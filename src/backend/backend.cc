@@ -1,6 +1,7 @@
 #include "backend/backend.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 
@@ -13,29 +14,73 @@ Backend::Backend(const Program& prog, TrueStream& strm, MemSystem& m,
                  Bpu& bp, BranchRecordMap& recs, const BackendConfig& c)
     : program(prog), stream(strm), mem(m), bpu(bp), records(recs), cfg(c)
 {
-    unissued.reserve(cfg.rsSize + 8);
+    std::size_t slots = std::bit_ceil(std::max<std::size_t>(cfg.robSize, 64));
+    rob.resize(slots);
+    robMask = slots - 1;
+    readyBits.assign(slots / 64, 0);
 }
 
 Backend::RobEntry*
 Backend::entryAt(std::uint64_t pos)
 {
-    if (pos < robBasePos) {
+    if (pos < robBasePos || pos - robBasePos >= robCount) {
         return nullptr;
     }
-    std::uint64_t off = pos - robBasePos;
-    if (off >= rob.size()) {
-        return nullptr;
+    return &slotOf(pos);
+}
+
+void
+Backend::addWakeEdge(RobEntry& producer, const RobEntry& consumer)
+{
+    std::uint32_t i = freeEdge;
+    if (i != kNoEdge) {
+        freeEdge = edges[i].next;
+    } else {
+        i = static_cast<std::uint32_t>(edges.size());
+        edges.emplace_back();
     }
-    return &rob[static_cast<std::size_t>(off)];
+    edges[i] = WakeEdge{consumer.pos, consumer.seq, producer.wakeHead};
+    producer.wakeHead = i;
+}
+
+void
+Backend::freeWakeEdges(std::uint32_t head)
+{
+    while (head != kNoEdge) {
+        std::uint32_t next = edges[head].next;
+        edges[head].next = freeEdge;
+        freeEdge = head;
+        head = next;
+    }
+}
+
+void
+Backend::wakeConsumers(RobEntry& producer)
+{
+    std::uint32_t i = producer.wakeHead;
+    producer.wakeHead = kNoEdge;
+    while (i != kNoEdge) {
+        WakeEdge& edge = edges[i];
+        // A consumer squashed since dispatch leaves a stale edge; its
+        // position may now hold a younger instruction with another seq.
+        RobEntry* c = entryAt(edge.consumerPos);
+        if (c && c->seq == edge.consumerSeq && --c->waiting == 0) {
+            markReady(c->pos);
+        }
+        std::uint32_t next = edge.next;
+        edge.next = freeEdge;
+        freeEdge = i;
+        i = next;
+    }
 }
 
 bool
 Backend::canDispatch(const DecodedInstr& di) const
 {
-    if (rob.size() >= cfg.robSize) {
+    if (robCount >= cfg.robSize) {
         return false;
     }
-    if (unissued.size() >= cfg.rsSize) {
+    if (rsCount >= cfg.rsSize) {
         return false;
     }
     if (di.type == InstrType::Load && loadsInFlight >= cfg.lqSize) {
@@ -51,12 +96,37 @@ void
 Backend::dispatch(const DecodedInstr& di, Cycle now)
 {
     assert(canDispatch(di));
-    RobEntry e;
+    std::uint64_t pos = robBasePos + robCount;
+    RobEntry& e = slotOf(pos);
+    e = RobEntry();
     e.di = di;
-    e.pos = robBasePos + rob.size();
+    e.pos = pos;
+    e.seq = ++dispatchSeq;
     e.dispatchedAt = now;
-    rob.push_back(std::move(e));
-    unissued.push_back(rob.back().pos);
+    ++robCount;
+    ++rsCount;
+
+    // Producers at pos-dep1 / pos-dep2 that are still in flight get a
+    // wake edge; retired or completed ones are already satisfied. Two
+    // operands from one producer make one edge.
+    auto waitOn = [&](unsigned dep) {
+        if (dep == 0 || pos < robBasePos + dep) {
+            return; // no producer, or it already retired
+        }
+        RobEntry& p = slotOf(pos - dep);
+        if (!p.completed) {
+            addWakeEdge(p, e);
+            ++e.waiting;
+        }
+    };
+    waitOn(di.dep1);
+    if (di.dep2 != di.dep1) {
+        waitOn(di.dep2);
+    }
+    if (e.waiting == 0) {
+        markReady(pos);
+    }
+
     if (di.type == InstrType::Load) {
         ++loadsInFlight;
     } else if (di.type == InstrType::Store) {
@@ -136,6 +206,7 @@ Backend::completeReady(Cycle now)
             continue; // squashed or stale heap entry
         }
         e->completed = true;
+        wakeConsumers(*e);
         if (e->di.kind != BranchKind::None && !e->resolved) {
             resolveBranch(*e);
             if (e->mispredicted) {
@@ -148,8 +219,8 @@ Backend::completeReady(Cycle now)
 void
 Backend::squashAfter(std::uint64_t pos)
 {
-    while (!rob.empty() && rob.back().pos > pos) {
-        RobEntry& victim = rob.back();
+    while (robCount > 0 && robBasePos + robCount - 1 > pos) {
+        RobEntry& victim = slotOf(robBasePos + robCount - 1);
         if (victim.di.predictedBranch) {
             records.erase(victim.di.dynId);
         }
@@ -158,12 +229,15 @@ Backend::squashAfter(std::uint64_t pos)
         } else if (victim.di.type == InstrType::Store) {
             --storesInFlight;
         }
+        if (!victim.issued) {
+            --rsCount;
+            clearReady(victim.pos);
+        }
+        freeWakeEdges(victim.wakeHead);
+        victim.wakeHead = kNoEdge;
         ++stats_.squashed;
-        rob.pop_back();
+        --robCount;
     }
-    unissued.erase(std::remove_if(unissued.begin(), unissued.end(),
-                                  [pos](std::uint64_t p) { return p > pos; }),
-                   unissued.end());
 }
 
 ResteerRequest
@@ -222,8 +296,8 @@ Backend::retire(Cycle now)
         return;
     }
     unsigned budget = cfg.retireWidth;
-    while (budget > 0 && !rob.empty() && rob.front().completed) {
-        RobEntry& e = rob.front();
+    while (budget > 0 && robCount > 0 && slotOf(robBasePos).completed) {
+        RobEntry& e = slotOf(robBasePos);
         if (e.di.kind != BranchKind::None && e.mispredicted &&
             !e.resteerHandled) {
             break; // recovery must run before this branch retires
@@ -264,8 +338,8 @@ Backend::retire(Cycle now)
         }
 
         stream.retireBelow(e.di.streamIdx + 1);
-        rob.pop_front();
         ++robBasePos;
+        --robCount;
         ++stats_.retired;
         --budget;
     }
@@ -279,102 +353,93 @@ Backend::issue(Cycle now)
     unsigned lds = cfg.numLoad;
     unsigned sts = cfg.numStore;
 
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < unissued.size(); ++r) {
-        std::uint64_t pos = unissued[r];
-        RobEntry* e = entryAt(pos);
-        if (!e || e->issued) {
-            continue; // squashed/stale
+    // Walk the ready set oldest first: from the head slot to the end of
+    // its word and on around the ring, ending with the head word's bits
+    // below the head slot (the youngest entries when the ROB wraps).
+    // Only ready entries are visited; an entry whose functional unit is
+    // used up stays ready for the next cycle.
+    const std::size_t words = readyBits.size();
+    const std::size_t head = static_cast<std::size_t>(robBasePos & robMask);
+    const std::size_t headWord = head >> 6;
+    const std::uint64_t belowHead = (std::uint64_t{1} << (head & 63)) - 1;
+    for (std::size_t k = 0; k <= words && budget > 0; ++k) {
+        std::size_t w = (headWord + k) & (words - 1);
+        std::uint64_t bits = readyBits[w];
+        if (k == 0) {
+            bits &= ~belowHead;
+        } else if (k == words) {
+            bits &= belowHead;
         }
-        if (budget == 0) {
-            unissued[w++] = pos;
-            continue;
-        }
-
-        // Functional unit availability.
-        unsigned* fu = nullptr;
-        switch (e->di.type) {
-          case InstrType::Alu:
-          case InstrType::Branch:
-            fu = &alu;
-            break;
-          case InstrType::Load:
-            fu = &lds;
-            break;
-          case InstrType::Store:
-            fu = &sts;
-            break;
-        }
-        if (*fu == 0) {
-            unissued[w++] = pos;
-            continue;
-        }
-
-        // Dependence check: producers at pos-dep1 / pos-dep2.
-        bool ready = true;
-        for (unsigned dep : {unsigned{e->di.dep1}, unsigned{e->di.dep2}}) {
-            if (dep == 0) {
-                continue;
-            }
-            if (pos < robBasePos + dep) {
-                continue; // producer already retired
-            }
-            RobEntry* p = entryAt(pos - dep);
-            if (p && !p->completed) {
-                ready = false;
+        for (; bits != 0 && budget > 0; bits &= bits - 1) {
+            unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+            RobEntry& e = rob[w * 64 + b];
+            unsigned* fu = nullptr;
+            switch (e.di.type) {
+              case InstrType::Alu:
+              case InstrType::Branch:
+                fu = &alu;
+                break;
+              case InstrType::Load:
+                fu = &lds;
+                break;
+              case InstrType::Store:
+                fu = &sts;
                 break;
             }
-        }
-        if (!ready) {
-            unissued[w++] = pos;
-            continue;
-        }
-
-        // Issue.
-        e->issued = true;
-        --*fu;
-        --budget;
-        ++stats_.issued;
-
-        Cycle done;
-        switch (e->di.type) {
-          case InstrType::Load: {
-            Addr addr;
-            if (e->di.onPath) {
-                addr = stream.at(e->di.streamIdx).memAddr;
-            } else {
-                const Instr& sin = program.instrAt(e->di.idx);
-                addr = memAddress(program.memPattern(sin),
-                                  mix64(e->di.dynId));
+            if (*fu == 0) {
+                continue;
             }
-            done = mem.dload(addr, now, e->di.onPath);
-            break;
-          }
-          case InstrType::Store: {
-            Addr addr;
-            if (e->di.onPath) {
-                addr = stream.at(e->di.streamIdx).memAddr;
-            } else {
-                const Instr& sin = program.instrAt(e->di.idx);
-                addr = memAddress(program.memPattern(sin),
-                                  mix64(e->di.dynId ^ 0x5151));
-            }
-            mem.dstore(addr, now);
-            done = now + 1;
-            break;
-          }
-          case InstrType::Branch:
-            done = now + cfg.branchExecLat;
-            break;
-          case InstrType::Alu:
-          default:
-            done = now + e->di.execLat;
-            break;
+            --*fu;
+            --budget;
+            readyBits[w] &= ~(std::uint64_t{1} << b);
+            issueEntry(e, now);
         }
-        e->completeAt = done;
-        completions.emplace(done, pos);
     }
-    unissued.resize(w);
+}
+
+void
+Backend::issueEntry(RobEntry& e, Cycle now)
+{
+    e.issued = true;
+    --rsCount;
+    ++stats_.issued;
+
+    Cycle done;
+    switch (e.di.type) {
+      case InstrType::Load: {
+        Addr addr;
+        if (e.di.onPath) {
+            addr = stream.at(e.di.streamIdx).memAddr;
+        } else {
+            const Instr& sin = program.instrAt(e.di.idx);
+            addr = memAddress(program.memPattern(sin), mix64(e.di.dynId));
+        }
+        done = mem.dload(addr, now, e.di.onPath);
+        break;
+      }
+      case InstrType::Store: {
+        Addr addr;
+        if (e.di.onPath) {
+            addr = stream.at(e.di.streamIdx).memAddr;
+        } else {
+            const Instr& sin = program.instrAt(e.di.idx);
+            addr = memAddress(program.memPattern(sin),
+                              mix64(e.di.dynId ^ 0x5151));
+        }
+        mem.dstore(addr, now);
+        done = now + 1;
+        break;
+      }
+      case InstrType::Branch:
+        done = now + cfg.branchExecLat;
+        break;
+      case InstrType::Alu:
+      default:
+        done = now + e.di.execLat;
+        break;
+    }
+    e.completeAt = done;
+    completions.emplace(done, e.pos);
 }
 
 ResteerRequest
@@ -384,7 +449,7 @@ Backend::tick(Cycle now)
     ResteerRequest req = handleRecovery(now);
     retire(now);
     issue(now);
-    if (rob.size() >= cfg.robSize) {
+    if (robCount >= cfg.robSize) {
         ++stats_.robFullStalls;
     }
     return req;
@@ -394,9 +459,14 @@ std::string
 Backend::checkInvariants(bool full) const
 {
     char buf[160];
-    if (rob.size() > cfg.robSize) {
+    if (robCount > cfg.robSize) {
         std::snprintf(buf, sizeof(buf), "ROB occupancy %zu exceeds %u",
-                      rob.size(), cfg.robSize);
+                      robCount, cfg.robSize);
+        return buf;
+    }
+    if (rsCount > cfg.rsSize) {
+        std::snprintf(buf, sizeof(buf), "RS occupancy %u exceeds %u",
+                      rsCount, cfg.rsSize);
         return buf;
     }
     if (loadsInFlight > cfg.lqSize) {
@@ -409,32 +479,110 @@ Backend::checkInvariants(bool full) const
                       storesInFlight, cfg.sqSize);
         return buf;
     }
-    if (full) {
-        // Credit conservation: every dispatch increments, every retire or
-        // squash decrements, so the counters must equal a recount of the
-        // ROB-resident memory instructions.
-        unsigned loads = 0;
-        unsigned stores = 0;
-        for (const RobEntry& e : rob) {
-            if (e.di.type == InstrType::Load) {
-                ++loads;
-            } else if (e.di.type == InstrType::Store) {
-                ++stores;
-            }
+    if (!full) {
+        return "";
+    }
+
+    // Credit conservation: every dispatch increments, every retire or
+    // squash decrements (issue, for the RS), so the counters must equal
+    // a recount of the ROB contents.
+    unsigned loads = 0;
+    unsigned stores = 0;
+    unsigned unissued = 0;
+    std::size_t readyLive = 0;
+    std::size_t chained = 0;
+    for (std::uint64_t pos = robBasePos; pos < robBasePos + robCount;
+         ++pos) {
+        const RobEntry& e = slotOf(pos);
+        if (e.di.type == InstrType::Load) {
+            ++loads;
+        } else if (e.di.type == InstrType::Store) {
+            ++stores;
         }
-        if (loads != loadsInFlight || stores != storesInFlight) {
+        unissued += e.issued ? 0 : 1;
+
+        // waiting must equal a recount of the distinct producers still
+        // in flight, and the ready set must hold exactly the unissued
+        // entries with none.
+        auto inFlight = [&](unsigned dep) -> unsigned {
+            return dep != 0 && pos >= robBasePos + dep &&
+                   !slotOf(pos - dep).completed;
+        };
+        unsigned producers = inFlight(e.di.dep1);
+        if (e.di.dep2 != e.di.dep1) {
+            producers += inFlight(e.di.dep2);
+        }
+        if (e.issued && producers > 0) {
             std::snprintf(buf, sizeof(buf),
-                          "LSQ credit leak: counters %u/%u vs ROB recount "
-                          "%u/%u (loads/stores)",
-                          loadsInFlight, storesInFlight, loads, stores);
+                          "pos %llu issued with %u producer(s) in flight",
+                          static_cast<unsigned long long>(pos), producers);
             return buf;
         }
-        if (unissued.size() > rob.size()) {
+        if (e.waiting != producers) {
             std::snprintf(buf, sizeof(buf),
-                          "unissued list %zu larger than ROB %zu",
-                          unissued.size(), rob.size());
+                          "pos %llu waits on %u producer(s), recount %u",
+                          static_cast<unsigned long long>(pos),
+                          unsigned{e.waiting}, producers);
             return buf;
         }
+        readyLive += isReady(pos) ? 1 : 0;
+        if (isReady(pos) != (!e.issued && e.waiting == 0)) {
+            std::snprintf(buf, sizeof(buf),
+                          "pos %llu ready bit %d but issued=%d waiting=%u",
+                          static_cast<unsigned long long>(pos),
+                          isReady(pos) ? 1 : 0, e.issued ? 1 : 0,
+                          unsigned{e.waiting});
+            return buf;
+        }
+        if (e.completed && e.wakeHead != kNoEdge) {
+            std::snprintf(buf, sizeof(buf),
+                          "completed pos %llu still holds wake edges",
+                          static_cast<unsigned long long>(pos));
+            return buf;
+        }
+        for (std::uint32_t i = e.wakeHead; i != kNoEdge; i = edges[i].next) {
+            ++chained;
+        }
+    }
+    if (loads != loadsInFlight || stores != storesInFlight) {
+        std::snprintf(buf, sizeof(buf),
+                      "LSQ credit leak: counters %u/%u vs ROB recount "
+                      "%u/%u (loads/stores)",
+                      loadsInFlight, storesInFlight, loads, stores);
+        return buf;
+    }
+    if (unissued != rsCount) {
+        std::snprintf(buf, sizeof(buf),
+                      "RS occupancy %u vs ROB recount of unissued %u",
+                      rsCount, unissued);
+        return buf;
+    }
+
+    // The ready set is ordered by construction (ring slots from the
+    // head); every set bit must name a live slot, so the walk from the
+    // head visits strictly increasing positions.
+    std::size_t readyAll = 0;
+    for (std::uint64_t word : readyBits) {
+        readyAll += static_cast<std::size_t>(std::popcount(word));
+    }
+    if (readyAll != readyLive) {
+        std::snprintf(buf, sizeof(buf),
+                      "ready set has %zu entries outside the ROB window",
+                      readyAll - readyLive);
+        return buf;
+    }
+
+    // Edge conservation: every pooled edge is either on the free list or
+    // chained to an uncompleted live producer.
+    std::size_t freeCount = 0;
+    for (std::uint32_t i = freeEdge; i != kNoEdge; i = edges[i].next) {
+        ++freeCount;
+    }
+    if (chained + freeCount != edges.size()) {
+        std::snprintf(buf, sizeof(buf),
+                      "wake edge leak: %zu chained + %zu free of %zu",
+                      chained, freeCount, edges.size());
+        return buf;
     }
     return "";
 }
@@ -442,28 +590,34 @@ Backend::checkInvariants(bool full) const
 std::string
 Backend::dumpState(Cycle now) const
 {
-    char buf[256];
-    if (rob.empty()) {
+    char buf[320];
+    std::size_t ready = 0;
+    for (std::uint64_t word : readyBits) {
+        ready += static_cast<std::size_t>(std::popcount(word));
+    }
+    if (robCount == 0) {
         std::snprintf(buf, sizeof(buf),
-                      "[rob] occupancy=0/%u retired=%llu frozen=%d\n",
-                      cfg.robSize,
+                      "[rob] occupancy=0/%u rs=%u/%u ready=%zu retired=%llu "
+                      "frozen=%d\n",
+                      cfg.robSize, rsCount, cfg.rsSize, ready,
                       static_cast<unsigned long long>(stats_.retired),
                       retireFrozen ? 1 : 0);
         return buf;
     }
-    const RobEntry& head = rob.front();
+    const RobEntry& head = slotOf(robBasePos);
     std::snprintf(
         buf, sizeof(buf),
-        "[rob] occupancy=%zu/%u retired=%llu frozen=%d lq=%u/%u sq=%u/%u "
+        "[rob] occupancy=%zu/%u rs=%u/%u ready=%zu retired=%llu frozen=%d "
+        "lq=%u/%u sq=%u/%u "
         "oldest={pc=0x%llx age=%llu issued=%d completed=%d "
-        "mispredicted=%d}\n",
-        rob.size(), cfg.robSize,
+        "mispredicted=%d waiting=%u}\n",
+        robCount, cfg.robSize, rsCount, cfg.rsSize, ready,
         static_cast<unsigned long long>(stats_.retired),
         retireFrozen ? 1 : 0, loadsInFlight, cfg.lqSize, storesInFlight,
         cfg.sqSize, static_cast<unsigned long long>(head.di.pc),
         static_cast<unsigned long long>(now - head.dispatchedAt),
         head.issued ? 1 : 0, head.completed ? 1 : 0,
-        head.mispredicted ? 1 : 0);
+        head.mispredicted ? 1 : 0, unsigned{head.waiting});
     return buf;
 }
 

@@ -1,17 +1,18 @@
 /**
  * @file
- * The out-of-order backend: ROB / unified RS / LSQ with dependence-driven
- * wakeup, functional-unit constraints, branch resolution (including
- * wrong-path branches, which can re-resteer the wrong path — Scarab's
- * "multiple consequent mispredictions"), recovery, and in-order retirement
- * that trains the predictors and feeds UDP's Seniority-FTQ.
+ * The out-of-order backend: ROB / unified RS / LSQ with completion-driven
+ * wakeup (a completing producer wakes its waiting consumers into an
+ * age-ordered ready set that issue walks), functional-unit constraints,
+ * branch resolution (including wrong-path branches, which can re-resteer
+ * the wrong path — Scarab's "multiple consequent mispredictions"),
+ * recovery, and in-order retirement that trains the predictors and feeds
+ * UDP's Seniority-FTQ.
  */
 
 #ifndef UDP_BACKEND_BACKEND_H
 #define UDP_BACKEND_BACKEND_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <queue>
 #include <string>
@@ -91,7 +92,9 @@ class Backend
     ResteerRequest tick(Cycle now);
 
     std::uint64_t retired() const { return stats_.retired; }
-    std::size_t robOccupancy() const { return rob.size(); }
+    std::size_t robOccupancy() const { return robCount; }
+    /** Dispatched, not yet issued instructions (unified RS occupancy). */
+    unsigned rsOccupancy() const { return rsCount; }
 
     /** Hook: invoked with the pc of every retired instruction. */
     std::function<void(Addr)> onRetirePc;
@@ -110,19 +113,32 @@ class Backend
     /**
      * Invariant check (sim/invariants.h): ROB/RS/LSQ occupancy bounds.
      * @p full additionally recomputes the load/store in-flight credits
-     * from ROB contents (conservation across dispatch/squash/retire).
+     * and the RS occupancy from ROB contents (conservation across
+     * dispatch/issue/squash/retire), recounts every entry's outstanding
+     * producers, checks that the ready set holds exactly the unissued
+     * entries with none, and that no wake edge leaked.
      * Returns the first violation, or "".
      */
     std::string checkInvariants(bool full) const;
 
-    /** ROB occupancy + oldest-entry summary for diagnostic reports. */
+    /** ROB/RS occupancy + oldest-entry summary for diagnostic reports. */
     std::string dumpState(Cycle now) const;
 
   private:
+    static constexpr std::uint32_t kNoEdge = ~std::uint32_t{0};
+
     struct RobEntry
     {
         DecodedInstr di;
         std::uint64_t pos = 0; ///< dense dispatch position
+        /**
+         * Dispatch sequence number. Unlike pos it is never reused after a
+         * squash, so a wake edge can tell its consumer from a younger
+         * instruction later dispatched at the same position.
+         */
+        std::uint64_t seq = 0;
+        std::uint32_t wakeHead = kNoEdge; ///< edges to waiting consumers
+        std::uint8_t waiting = 0; ///< producers not yet completed
         bool issued = false;
         bool completed = false;
         bool resolved = false;
@@ -134,7 +150,41 @@ class Backend
         Cycle dispatchedAt = 0; ///< for age reporting in dumps
     };
 
+    /** "Consumer waits on this producer"; pooled, chained per producer. */
+    struct WakeEdge
+    {
+        std::uint64_t consumerPos = 0;
+        std::uint64_t consumerSeq = 0;
+        std::uint32_t next = kNoEdge;
+    };
+
+    RobEntry& slotOf(std::uint64_t pos) { return rob[pos & robMask]; }
+    const RobEntry& slotOf(std::uint64_t pos) const
+    {
+        return rob[pos & robMask];
+    }
+    /** The live entry at @p pos, or nullptr (retired/squashed/future). */
     RobEntry* entryAt(std::uint64_t pos);
+
+    void markReady(std::uint64_t pos)
+    {
+        readyBits[(pos & robMask) >> 6] |= std::uint64_t{1} << (pos & 63);
+    }
+    void clearReady(std::uint64_t pos)
+    {
+        readyBits[(pos & robMask) >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+    }
+    bool isReady(std::uint64_t pos) const
+    {
+        return (readyBits[(pos & robMask) >> 6] >> (pos & 63)) & 1;
+    }
+
+    /** Makes @p consumer wait for @p producer's completion. */
+    void addWakeEdge(RobEntry& producer, const RobEntry& consumer);
+    /** Returns the edge chain starting at @p head to the free list. */
+    void freeWakeEdges(std::uint32_t head);
+    /** Producer completed: wake its consumers, free its edges. */
+    void wakeConsumers(RobEntry& producer);
 
     /** Resolves the branch in @p e (fills actual outcome/mispredict). */
     void resolveBranch(RobEntry& e);
@@ -146,6 +196,8 @@ class Backend
     ResteerRequest handleRecovery(Cycle now);
     void retire(Cycle now);
     void issue(Cycle now);
+    /** Issues @p e, which is ready and has a free functional unit. */
+    void issueEntry(RobEntry& e, Cycle now);
 
     const Program& program;
     TrueStream& stream;
@@ -154,9 +206,28 @@ class Backend
     BranchRecordMap& records;
     BackendConfig cfg;
 
-    std::deque<RobEntry> rob;
-    std::uint64_t robBasePos = 0; ///< pos of rob.front()
-    std::vector<std::uint64_t> unissued; ///< positions, oldest first
+    /**
+     * The ROB: a ring of 2^k >= robSize slots (at least 64), the entry at
+     * position pos living in slot pos & robMask. Live positions are
+     * [robBasePos, robBasePos + robCount).
+     */
+    std::vector<RobEntry> rob;
+    std::uint64_t robMask = 0;
+    std::uint64_t robBasePos = 0; ///< pos of the oldest entry
+    std::size_t robCount = 0;
+    std::uint64_t dispatchSeq = 0;
+    unsigned rsCount = 0; ///< dispatched, unissued entries
+
+    /**
+     * The ready set: one bit per ROB slot, set while the slot holds a
+     * live, unissued entry with waiting == 0. Walking the bits from the
+     * head slot around the ring visits ready entries oldest first.
+     */
+    std::vector<std::uint64_t> readyBits;
+
+    /** Wake-edge pool and the head of its free list. */
+    std::vector<WakeEdge> edges;
+    std::uint32_t freeEdge = kNoEdge;
 
     /** (completeAt, pos) min-heap of scheduled completions. */
     using Completion = std::pair<Cycle, std::uint64_t>;
