@@ -103,8 +103,8 @@ struct SinkArgs
 
     // --- distributed execution (docs/ROBUSTNESS.md §10) ----------------
     /** --coordinator ENDPOINT: serve this bench's batch as a distributed
-     *  sweep ("tcp:HOST:PORT", port 0 = ephemeral, or a queue directory)
-     *  instead of running it in-process. Artifacts are written by this
+     *  sweep ("tcp:HOST:PORT", port 0 = ephemeral) instead of running
+     *  it in-process. Artifacts are written by this
      *  process exactly as in local mode. */
     std::string coordinator;
     /** --worker-of ENDPOINT: run as a worker for a coordinator started

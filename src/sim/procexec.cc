@@ -1,11 +1,9 @@
 #include "sim/procexec.h"
 
-#ifndef _WIN32
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include <cerrno>
 #include <chrono>
@@ -37,34 +35,10 @@
 namespace udp {
 
 bool
-procIsolationSupported()
-{
-#ifdef _WIN32
-    return false;
-#else
-    return true;
-#endif
-}
-
-bool
 procUnderSanitizer()
 {
     return UDP_UNDER_SANITIZER != 0;
 }
-
-#ifdef _WIN32
-
-JobResult
-runJobIsolated(const SweepJob& job, const ProcLimits&)
-{
-    JobResult jr;
-    jr.error.kind = "exception";
-    jr.error.message = "process isolation is not supported on this platform";
-    (void)job;
-    return jr;
-}
-
-#else // POSIX
 
 namespace {
 
@@ -471,7 +445,5 @@ runJobIsolated(const SweepJob& job, const ProcLimits& limits)
     attachDiagnostics(&jr.error);
     return jr;
 }
-
-#endif // POSIX
 
 } // namespace udp

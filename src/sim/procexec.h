@@ -64,9 +64,6 @@ struct ProcLimits
  */
 JobResult runJobIsolated(const SweepJob& job, const ProcLimits& limits);
 
-/** True when this platform supports fork-based isolation. */
-bool procIsolationSupported();
-
 /** True when this binary was built under ASan/TSan — RLIMIT_AS is then
  *  skipped and memory-cap tests should be skipped too. */
 bool procUnderSanitizer();

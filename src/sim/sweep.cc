@@ -111,10 +111,6 @@ class SignalGuard
             return;
         }
         g_stopSignal = 0;
-#ifdef _WIN32
-        std::signal(SIGINT, sweepStopHandler);
-        std::signal(SIGTERM, sweepStopHandler);
-#else
         struct sigaction sa;
         std::memset(&sa, 0, sizeof(sa));
         sa.sa_handler = sweepStopHandler;
@@ -122,7 +118,6 @@ class SignalGuard
         sa.sa_flags = SA_RESETHAND;
         ::sigaction(SIGINT, &sa, &oldInt);
         ::sigaction(SIGTERM, &sa, &oldTerm);
-#endif
     }
 
     ~SignalGuard()
@@ -130,13 +125,8 @@ class SignalGuard
         if (!active) {
             return;
         }
-#ifdef _WIN32
-        std::signal(SIGINT, SIG_DFL);
-        std::signal(SIGTERM, SIG_DFL);
-#else
         ::sigaction(SIGINT, &oldInt, nullptr);
         ::sigaction(SIGTERM, &oldTerm, nullptr);
-#endif
     }
 
     SignalGuard(const SignalGuard&) = delete;
@@ -144,10 +134,8 @@ class SignalGuard
 
   private:
     bool active;
-#ifndef _WIN32
     struct sigaction oldInt {};
     struct sigaction oldTerm {};
-#endif
 };
 
 } // namespace
@@ -161,12 +149,11 @@ runJobChecked(const SweepJob& jobIn, std::size_t index,
     if (opts.jobCycleBudget != 0 && job.config.watchdog.maxCycles == 0) {
         job.config.watchdog.maxCycles = opts.jobCycleBudget;
     }
-    const bool isolate = opts.isolate && procIsolationSupported();
     const unsigned maxAttempts = opts.maxAttempts == 0 ? 1 : opts.maxAttempts;
 
     for (unsigned attempt = 1; attempt <= maxAttempts && !jr.ok; ++attempt) {
         jr.attempts = attempt;
-        if (isolate) {
+        if (opts.isolate) {
             ProcLimits limits;
             limits.memLimitBytes = opts.memLimitBytes;
             limits.cpuLimitSec = opts.cpuLimitSec;
@@ -245,13 +232,6 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
         return results;
     }
 
-    const bool isolate = opts.isolate && procIsolationSupported();
-    if (opts.isolate && !isolate && !opts.quiet) {
-        obs::Event(obs::LogLevel::Warn, "sweep", "isolation_unsupported")
-            .str("fallback", "in_process")
-            .emit();
-    }
-
     // Checkpoint manifest: hash every job up front; on resume, satisfy
     // already-completed jobs by replaying their recorded Reports.
     SweepManifest manifest;
@@ -296,7 +276,7 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
 
     // Isolation shares the parent's Program cache with every child via
     // copy-on-write: build each distinct workload once before forking.
-    if (isolate) {
+    if (opts.isolate) {
         std::unordered_set<std::string> warmed;
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             if (results[i].resumed) {
@@ -396,7 +376,7 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
         eo.maxAttempts = max_attempts;
         eo.jobCycleBudget = opts.jobCycleBudget;
         eo.dumpDir = opts.dumpDir;
-        eo.isolate = isolate;
+        eo.isolate = opts.isolate;
         eo.memLimitBytes = opts.memLimitBytes;
         eo.cpuLimitSec = opts.cpuLimitSec;
         eo.wallLimitSec = opts.wallLimitSec;

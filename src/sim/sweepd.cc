@@ -540,88 +540,8 @@ struct SweepCoordinator::Impl
     bool started = false;
     double startTime = 0.0;
 
-    // TCP mode.
     std::unique_ptr<LeaseTable> table;
     TcpQueueServer server;
-    // Filesystem mode.
-    std::unique_ptr<FsWorkQueue> fsq;
-
-    // --- live status surface (obs/status.h) --------------------------
-    // The TCP LeaseTable tracks per-worker counters natively; in FS mode
-    // the coordinator reconstructs them by diffing lease-directory
-    // snapshots each tick. Rows store ABSOLUTE last-contact times
-    // (monotonic seconds); buildStatus() converts to ages on export.
-    std::unordered_map<std::string, obs::WorkerStatusRow> fsWorkers;
-    struct FsSeenLease
-    {
-        std::string worker;
-        std::uint64_t hash = 0;
-        std::uint64_t expiryMs = 0;
-    };
-    std::unordered_map<std::uint64_t, FsSeenLease> fsSeen; ///< by token
-    std::vector<FsLeaseInfo> fsLeaseSnapshot;
-    double lastStatusSec = 0.0;
-
-    bool isTcp() const { return ep.tcp; }
-
-    obs::WorkerStatusRow& fsWorkerRow(const std::string& name)
-    {
-        obs::WorkerStatusRow& row = fsWorkers[name];
-        if (row.name.empty()) {
-            row.name = name;
-            row.lastSeenSec = nowSec();
-        }
-        return row;
-    }
-
-    /**
-     * Folds one lease-directory snapshot into the per-worker rows: a new
-     * token is a claim (attempt >= 2 marks a retry; a second live lease
-     * on the same hash marks a straggler grant), a larger expiry on a
-     * known token is a heartbeat renewal, and a vanished token whose
-     * lease was already past expiry counts as an expiration (a push
-     * removes its lease file too, so in-date disappearances are normal
-     * completions and are not charged).
-     */
-    void updateFsWorkers(std::vector<FsLeaseInfo> leases)
-    {
-        double now = nowSec();
-        std::uint64_t nowMs = wallMs();
-        std::unordered_map<std::uint64_t, std::size_t> liveByHash;
-        for (const FsLeaseInfo& l : leases) {
-            ++liveByHash[l.hash];
-        }
-        std::unordered_map<std::uint64_t, FsSeenLease> seen;
-        for (const FsLeaseInfo& l : leases) {
-            obs::WorkerStatusRow& row = fsWorkerRow(l.worker);
-            auto it = fsSeen.find(l.token);
-            if (it == fsSeen.end()) {
-                ++row.claims;
-                if (l.attempt >= 2) {
-                    ++row.retries;
-                }
-                if (liveByHash[l.hash] > 1) {
-                    ++row.stragglers;
-                }
-                row.lastSeenSec = now;
-            } else if (l.expiryMs > it->second.expiryMs) {
-                ++row.renewals;
-                row.lastSeenSec = now;
-            }
-            seen[l.token] = FsSeenLease{l.worker, l.hash, l.expiryMs};
-        }
-        for (const auto& [token, old] : fsSeen) {
-            if (seen.find(token) != seen.end()) {
-                continue;
-            }
-            if (old.expiryMs <= nowMs) {
-                // lastSeenSec left alone: the silence should show.
-                ++fsWorkerRow(old.worker).expirations;
-            }
-        }
-        fsSeen = std::move(seen);
-        fsLeaseSnapshot = std::move(leases);
-    }
 
     /** One status document (obs/status.h JSON) from live state. */
     std::string buildStatus()
@@ -629,65 +549,30 @@ struct SweepCoordinator::Impl
         double now = nowSec();
         obs::SweepStatus st;
         st.name = opts.name;
-        st.transport = isTcp() ? "tcp" : "fs";
+        st.transport = "tcp";
         st.tsMs = wallMs();
         st.total = jobs.size();
         st.done = finalCount - failedCount;
         st.failed = failedCount;
         st.resumed = resumedCount;
         st.elapsedSec = started ? now - startTime : 0.0;
-        st.jobStates.assign(jobs.size(), obs::kJobPending);
-        if (isTcp() && table) {
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
-                st.jobStates[i] = table->jobState(i);
-            }
-            for (const LeaseWorkerStats& ws : table->workerStats()) {
-                obs::WorkerStatusRow row;
-                row.name = ws.worker;
-                row.activeLeases = ws.activeLeases;
-                row.claims = ws.claims;
-                row.completed = ws.completions;
-                row.failed = ws.failures;
-                row.retries = ws.retries;
-                row.stragglers = ws.stragglers;
-                row.renewals = ws.renewals;
-                row.expirations = ws.expirations;
-                row.lastSeenSec =
-                    ws.lastSeenSec >= 0.0 ? now - ws.lastSeenSec : -1.0;
-                st.workers.push_back(std::move(row));
-            }
-        } else {
-            std::unordered_map<std::uint64_t, char> leasedHash;
-            for (const FsLeaseInfo& l : fsLeaseSnapshot) {
-                leasedHash[l.hash] = 1;
-            }
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
-                if (haveFinal[i]) {
-                    st.jobStates[i] =
-                        finals[i].ok ? obs::kJobDone : obs::kJobFailed;
-                } else if (leasedHash.find(hashes[i]) != leasedHash.end()) {
-                    st.jobStates[i] = obs::kJobLeased;
-                }
-            }
-            for (auto& [name, row] : fsWorkers) {
-                (void)name;
-                row.activeLeases = 0;
-            }
-            for (const FsLeaseInfo& l : fsLeaseSnapshot) {
-                ++fsWorkerRow(l.worker).activeLeases;
-            }
-            for (const auto& [name, src] : fsWorkers) {
-                (void)name;
-                obs::WorkerStatusRow row = src;
-                row.lastSeenSec =
-                    src.lastSeenSec >= 0.0 ? now - src.lastSeenSec : -1.0;
-                st.workers.push_back(std::move(row));
-            }
-            std::sort(st.workers.begin(), st.workers.end(),
-                      [](const obs::WorkerStatusRow& a,
-                         const obs::WorkerStatusRow& b) {
-                          return a.name < b.name;
-                      });
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            st.jobStates.push_back(table->jobState(i));
+        }
+        for (const LeaseWorkerStats& ws : table->workerStats()) {
+            obs::WorkerStatusRow row;
+            row.name = ws.worker;
+            row.activeLeases = ws.activeLeases;
+            row.claims = ws.claims;
+            row.completed = ws.completions;
+            row.failed = ws.failures;
+            row.retries = ws.retries;
+            row.stragglers = ws.stragglers;
+            row.renewals = ws.renewals;
+            row.expirations = ws.expirations;
+            row.lastSeenSec =
+                ws.lastSeenSec >= 0.0 ? now - ws.lastSeenSec : -1.0;
+            st.workers.push_back(std::move(row));
         }
         for (char c : st.jobStates) {
             if (c == obs::kJobPending) {
@@ -704,21 +589,6 @@ struct SweepCoordinator::Impl
                               static_cast<double>(jobs.size() - finalCount);
         st.metricsJson = obs::Registry::global().snapshotJson();
         return sweepStatusToJson(st);
-    }
-
-    /** FS transport: refresh "<dir>/status.json" (rate-limited unless
-     *  @p force — the post-drain publication must always land). */
-    void publishFsStatus(bool force)
-    {
-        if (!fsq) {
-            return;
-        }
-        double now = nowSec();
-        if (!force && now - lastStatusSec < std::max(opts.pollSec, 0.25)) {
-            return;
-        }
-        lastStatusSec = now;
-        fsq->writeStatusFile(buildStatus());
     }
 
     /** Records a job's final outcome exactly once. */
@@ -796,18 +666,13 @@ struct SweepCoordinator::Impl
                 if (haveFinal[idx]) {
                     continue;
                 }
-                if (table) {
-                    table->markDone(idx);
-                }
-                if (fsq) {
-                    fsq->injectDone(e);
-                }
+                table->markDone(idx);
                 recordFinal(idx, std::move(e), true);
             }
         }
     }
 
-    void tickTcp()
+    void tick()
     {
         server.poll(opts.pollSec);
         table->tick(nowSec());
@@ -828,31 +693,6 @@ struct SweepCoordinator::Impl
             recordFinal(i, std::move(e), true);
         }
     }
-
-    void tickFs()
-    {
-        fsq->reclaimExpired();
-        updateFsWorkers(fsq->scanLeases());
-        for (ManifestEntry& e : fsq->collectDone()) {
-            auto hit = hashToIndex.find(e.hash);
-            if (hit == hashToIndex.end() || haveFinal[hit->second]) {
-                continue;
-            }
-            if (e.ok && !manifestEntryIsConsistent(e)) {
-                continue; // torn/spliced done entry: leave it to reclaim
-            }
-            // Attribute the final to its producer before the entry is
-            // consumed (reclaim-published failures carry no worker).
-            if (!e.worker.empty()) {
-                obs::WorkerStatusRow& row = fsWorkerRow(e.worker);
-                e.ok ? ++row.completed : ++row.failed;
-                row.lastSeenSec = nowSec();
-            }
-            recordFinal(hit->second, std::move(e), true);
-        }
-        publishFsStatus(false);
-        sleepSec(opts.pollSec);
-    }
 };
 
 SweepCoordinator::SweepCoordinator(std::vector<SweepJob> jobs,
@@ -861,7 +701,6 @@ SweepCoordinator::SweepCoordinator(std::vector<SweepJob> jobs,
 {
     impl->jobs = std::move(jobs);
     impl->opts = std::move(opts);
-    impl->ep = parseQueueEndpoint(impl->opts.endpoint);
 }
 
 SweepCoordinator::~SweepCoordinator() = default;
@@ -870,6 +709,9 @@ bool
 SweepCoordinator::start(std::string* err)
 {
     Impl& im = *impl;
+    if (!parseQueueEndpoint(im.opts.endpoint, true, &im.ep, err)) {
+        return false;
+    }
     im.hashes.resize(im.jobs.size());
     im.finals.resize(im.jobs.size());
     im.haveFinal.assign(im.jobs.size(), 0);
@@ -909,79 +751,49 @@ SweepCoordinator::start(std::string* err)
         }
     }
 
-    if (im.isTcp()) {
-        im.table = std::make_unique<LeaseTable>(im.hashes, im.opts.policy);
-        for (std::size_t i = 0; i < im.jobs.size(); ++i) {
-            if (im.haveFinal[i]) {
-                im.table->markDone(i);
-            }
+    im.table = std::make_unique<LeaseTable>(im.hashes, im.opts.policy);
+    for (std::size_t i = 0; i < im.jobs.size(); ++i) {
+        if (im.haveFinal[i]) {
+            im.table->markDone(i);
         }
-        im.absorbShards();
-        TcpQueueServer::Handlers h;
-        h.spec = [&im] { return im.opts.specJson; };
-        h.total = [&im] { return im.jobs.size(); };
-        h.retrySec = [&im] { return im.opts.policy.noWorkRetrySec; };
-        h.status = [&im] { return im.buildStatus(); };
-        h.claim = [&im](const std::string& worker, JobLease* out) {
-            return im.table->claim(nowSec(), worker, out);
-        };
-        h.renew = [&im](std::uint64_t token) {
-            return im.table->renew(nowSec(), token);
-        };
-        h.push = [&im](std::uint64_t token, const ManifestEntry& entry) {
-            std::size_t idx = im.table->leaseIndex(token);
-            if (idx == LeaseTable::npos || im.hashes[idx] != entry.hash ||
-                (entry.ok && !manifestEntryIsConsistent(entry))) {
-                return LeaseTable::Push::Unknown;
-            }
-            LeaseTable::Push pr = im.table->push(nowSec(), token, entry.ok,
-                                                 entry.errorKind);
-            if (pr == LeaseTable::Push::RecordedFinal) {
-                im.recordFinal(idx, entry, true);
-            }
-            return pr;
-        };
-        if (!im.server.listen(im.ep.host, im.ep.port, std::move(h), err)) {
-            return false;
+    }
+    im.absorbShards();
+    TcpQueueServer::Handlers h;
+    h.spec = [&im] { return im.opts.specJson; };
+    h.total = [&im] { return im.jobs.size(); };
+    h.retrySec = [&im] { return im.opts.policy.noWorkRetrySec; };
+    h.status = [&im] { return im.buildStatus(); };
+    h.claim = [&im](const std::string& worker, JobLease* out) {
+        return im.table->claim(nowSec(), worker, out);
+    };
+    h.renew = [&im](std::uint64_t token) {
+        return im.table->renew(nowSec(), token);
+    };
+    h.push = [&im](std::uint64_t token, const ManifestEntry& entry) {
+        std::size_t idx = im.table->leaseIndex(token);
+        if (idx == LeaseTable::npos || im.hashes[idx] != entry.hash ||
+            (entry.ok && !manifestEntryIsConsistent(entry))) {
+            return LeaseTable::Push::Unknown;
         }
-    } else {
-        im.fsq = std::make_unique<FsWorkQueue>(im.ep.dir, 5.0);
-        std::vector<ManifestEntry> skeleton;
-        skeleton.reserve(im.jobs.size());
-        for (std::size_t i = 0; i < im.jobs.size(); ++i) {
-            ManifestEntry e;
-            e.hash = im.hashes[i];
-            e.index = i;
-            e.workload = im.jobs[i].profile.name;
-            e.label = im.jobs[i].label;
-            skeleton.push_back(std::move(e));
+        LeaseTable::Push pr = im.table->push(nowSec(), token, entry.ok,
+                                             entry.errorKind);
+        if (pr == LeaseTable::Push::RecordedFinal) {
+            im.recordFinal(idx, entry, true);
         }
-        // Inject resumed completions into done/ BEFORE seeding tickets,
-        // so seed() skips them and no worker re-runs a resumed job.
-        for (std::size_t i = 0; i < im.jobs.size(); ++i) {
-            if (im.haveFinal[i] && im.finals[i].ok) {
-                im.fsq->injectDone(im.finals[i]);
-            }
-        }
-        im.absorbShards();
-        if (!im.fsq->seed(skeleton, im.opts.specJson, im.opts.policy,
-                          err)) {
-            return false;
-        }
+        return pr;
+    };
+    if (!im.server.listen(im.ep.host, im.ep.port, std::move(h), err)) {
+        return false;
     }
     im.startTime = nowSec();
     im.started = true;
-    im.publishFsStatus(true); // FS only: status visible before first tick
     return true;
 }
 
 std::string
 SweepCoordinator::endpoint() const
 {
-    if (!impl->isTcp()) {
-        return impl->opts.endpoint;
-    }
-    std::string host = impl->ep.host.empty() ? "127.0.0.1" : impl->ep.host;
+    std::string host = impl->ep.host;
     if (host == "0.0.0.0") {
         host = "127.0.0.1";
     }
@@ -991,7 +803,7 @@ SweepCoordinator::endpoint() const
 int
 SweepCoordinator::port() const
 {
-    return impl->isTcp() ? impl->server.port() : 0;
+    return impl->server.port();
 }
 
 std::size_t
@@ -1017,33 +829,24 @@ SweepCoordinator::run()
 
     std::size_t lastProgress = im.finalCount;
     while (!im.stop.load() && im.finalCount < im.jobs.size()) {
-        if (im.isTcp()) {
-            im.tickTcp();
-        } else {
-            im.tickFs();
-        }
+        im.tick();
         if (im.finalCount != lastProgress) {
             lastProgress = im.finalCount;
             im.postProgress();
         }
     }
-    if (im.isTcp()) {
-        // Drain announcement: answer idle workers' next claim with
-        // Drained (instead of a closed socket) so they exit cleanly.
-        if (!im.stop.load()) {
-            double grace =
-                nowSec() + std::max(0.5, 2.0 * im.opts.policy.noWorkRetrySec);
-            while (nowSec() < grace) {
-                im.server.poll(0.05);
-            }
+    // Drain announcement: answer idle workers' next claim with Drained
+    // (instead of a closed socket) so they exit cleanly.
+    if (!im.stop.load()) {
+        double grace =
+            nowSec() + std::max(0.5, 2.0 * im.opts.policy.noWorkRetrySec);
+        while (nowSec() < grace) {
+            im.server.poll(0.05);
         }
-        im.server.close();
     }
+    im.server.close();
     im.absorbShards();
     im.manifest.close();
-    // Final FS status so post-completion queries reconcile with the
-    // merged manifest (TCP answers live until server.close() above).
-    im.publishFsStatus(true);
 
     for (std::size_t i = 0; i < im.jobs.size(); ++i) {
         JobResult& jr = results[i];

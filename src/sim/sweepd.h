@@ -2,8 +2,8 @@
  * @file
  * The distributed sweep service (docs/ROBUSTNESS.md §10).
  *
- * Three pieces sit on top of the work-queue transports (sim/workqueue.h)
- * and the lease state machine (sim/lease.h):
+ * Three pieces sit on top of the TCP work queue (sim/workqueue.h) and
+ * the lease state machine (sim/lease.h):
  *
  *   - SweepSpec: a small JSON sweep description (workloads × config
  *     presets) that both the coordinator and every worker expand —
@@ -19,8 +19,8 @@
  *     result is flushed to a local shard manifest the coordinator
  *     absorbs on restart.
  *
- *   - SweepCoordinator: shards the batch across workers over either
- *     transport, applies the lease policy (expiry reclaim, bounded
+ *   - SweepCoordinator: serves the batch to workers over TCP, applies
+ *     the lease policy (expiry reclaim, bounded
  *     retries with backoff, straggler duplication), checkpoints every
  *     final result to the sweep manifest, and assembles JobResults in
  *     job order. Because completed entries carry reportToJsonLine()
@@ -64,7 +64,7 @@ struct SpecConfig
 /**
  * A declarative sweep: the cross product of workloads × configs, each
  * run for the same instruction window. Serialized as one JSON object so
- * the coordinator can hand it to workers verbatim (spec.json / HELLO),
+ * the coordinator can hand it to workers verbatim (HELLO),
  * and expansion is deterministic on both sides.
  */
 struct SweepSpec
@@ -156,12 +156,9 @@ struct CoordinatorOptions
     std::string name = "sweep";
     /** Lease/retry/straggler policy shared with the queue. */
     LeasePolicy policy;
-    /**
-     * Where workers find the queue: "tcp:HOST:PORT" serves the TCP
-     * protocol from this process (PORT 0 binds an ephemeral port — see
-     * SweepCoordinator::endpoint()); anything else is a shared queue
-     * directory seeded and polled by this process.
-     */
+    /** Where workers find the queue: "tcp:HOST:PORT" is served from
+     *  this process (PORT 0 binds an ephemeral port — see
+     *  SweepCoordinator::endpoint()). */
     std::string endpoint;
     /** Spec JSON served to udp_worker ("" for bench pairing, where both
      *  sides build the job list from identical argv). */
@@ -193,14 +190,14 @@ class SweepCoordinator
     SweepCoordinator(const SweepCoordinator&) = delete;
     SweepCoordinator& operator=(const SweepCoordinator&) = delete;
 
-    /** Binds the TCP server / seeds the queue directory. */
+    /** Parses the endpoint and binds the TCP server. */
     bool start(std::string* err);
 
     /** The endpoint string workers should connect to (with the actual
-     *  bound port substituted in TCP mode). Valid after start(). */
+     *  bound port substituted). Valid after start(). */
     std::string endpoint() const;
 
-    /** Bound TCP port (0 in filesystem mode). Valid after start(). */
+    /** Bound TCP port. Valid after start(). */
     int port() const;
 
     /**

@@ -102,9 +102,7 @@ readStr(const std::string& buf, std::size_t* pos, std::string* out)
 inline void
 installSigpipeIgnore()
 {
-#ifndef _WIN32
     std::signal(SIGPIPE, SIG_IGN);
-#endif
 }
 
 } // namespace udp::wire

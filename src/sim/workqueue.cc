@@ -1,30 +1,22 @@
 #include "sim/workqueue.h"
 
-#ifndef _WIN32
 #include <arpa/inet.h>
-#include <dirent.h>
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/wire.h"
-#include "stats/sink.h"
 
 #ifndef MSG_NOSIGNAL
 #define MSG_NOSIGNAL 0
@@ -32,14 +24,9 @@
 
 namespace udp {
 
-namespace {
+using namespace wire;
 
-using wire::appendStr;
-using wire::appendU32;
-using wire::appendU64;
-using wire::readStr;
-using wire::readU32;
-using wire::readU64;
+namespace {
 
 double
 nowMonotonicSec()
@@ -49,1141 +36,26 @@ nowMonotonicSec()
         .count();
 }
 
-/** Wall-clock ms since epoch: comparable across queue participants. */
-std::uint64_t
-nowWallMs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
-
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
+/** Parses all of @p s as a decimal port in 0..65535. */
 bool
-hex16To(const std::string& s, std::uint64_t* out)
+parsePort(const std::string& s, int* out)
 {
-    if (s.size() != 16) {
+    if (s.empty() || s.size() > 5) {
         return false;
     }
-    std::uint64_t v = 0;
+    int v = 0;
     for (char c : s) {
-        v <<= 4;
-        if (c >= '0' && c <= '9') {
-            v |= static_cast<std::uint64_t>(c - '0');
-        } else if (c >= 'a' && c <= 'f') {
-            v |= static_cast<std::uint64_t>(c - 'a' + 10);
-        } else {
+        if (c < '0' || c > '9') {
             return false;
         }
+        v = v * 10 + (c - '0');
     }
-    *out = v;
-    return true;
-}
-
-/** Minimal order-free field extraction (same shape as sim/manifest.cc). */
-bool
-extractString(const std::string& line, const std::string& key,
-              std::string* out)
-{
-    std::string needle = "\"" + key + "\":\"";
-    std::size_t pos = line.find(needle);
-    if (pos == std::string::npos) {
-        return false;
-    }
-    pos += needle.size();
-    std::string raw;
-    while (pos < line.size() && line[pos] != '"') {
-        if (line[pos] == '\\' && pos + 1 < line.size()) {
-            raw += line[pos++];
-        }
-        raw += line[pos++];
-    }
-    if (pos >= line.size()) {
-        return false;
-    }
-    return jsonUnescape(raw, out);
-}
-
-bool
-extractU64(const std::string& line, const std::string& key,
-           std::uint64_t* out)
-{
-    std::string needle = "\"" + key + "\":";
-    std::size_t pos = line.find(needle);
-    if (pos == std::string::npos) {
-        return false;
-    }
-    pos += needle.size();
-    std::uint64_t v = 0;
-    bool any = false;
-    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-        v = v * 10 + static_cast<std::uint64_t>(line[pos++] - '0');
-        any = true;
-    }
-    if (!any) {
+    if (v > 65535) {
         return false;
     }
     *out = v;
     return true;
 }
-
-} // namespace
-
-QueueEndpoint
-parseQueueEndpoint(const std::string& endpoint)
-{
-    QueueEndpoint ep;
-    if (endpoint.rfind("tcp:", 0) != 0) {
-        ep.dir = endpoint;
-        return ep;
-    }
-    ep.tcp = true;
-    std::string rest = endpoint.substr(4);
-    std::size_t colon = rest.rfind(':');
-    if (colon == std::string::npos) {
-        ep.host = "127.0.0.1";
-        ep.port = std::atoi(rest.c_str());
-    } else {
-        ep.host = rest.substr(0, colon);
-        if (ep.host.empty()) {
-            ep.host = "127.0.0.1";
-        }
-        ep.port = std::atoi(rest.c_str() + colon + 1);
-    }
-    return ep;
-}
-
-#ifdef _WIN32
-
-// Distributed sweeps need POSIX directory/socket primitives; on other
-// platforms every operation reports the queue as unreachable.
-
-struct FsWorkQueue::Impl
-{
-};
-FsWorkQueue::FsWorkQueue(std::string, double) {}
-bool
-FsWorkQueue::seed(const std::vector<ManifestEntry>&, const std::string&,
-                  const LeasePolicy&, std::string* err)
-{
-    *err = "distributed sweeps are not supported on this platform";
-    return false;
-}
-void
-FsWorkQueue::reclaimExpired()
-{
-}
-bool
-FsWorkQueue::injectDone(const ManifestEntry&)
-{
-    return false;
-}
-std::size_t
-FsWorkQueue::doneCount()
-{
-    return 0;
-}
-std::vector<ManifestEntry>
-FsWorkQueue::collectDone()
-{
-    return {};
-}
-std::vector<FsLeaseInfo>
-FsWorkQueue::scanLeases()
-{
-    return {};
-}
-std::size_t
-FsWorkQueue::todoCount()
-{
-    return 0;
-}
-std::uint64_t
-FsWorkQueue::stragglerTicketsIssued() const
-{
-    return 0;
-}
-std::uint64_t
-FsWorkQueue::leasesReclaimed() const
-{
-    return 0;
-}
-bool
-FsWorkQueue::writeStatusFile(const std::string&)
-{
-    return false;
-}
-bool
-FsWorkQueue::connect(std::string* err)
-{
-    *err = "distributed sweeps are not supported on this platform";
-    return false;
-}
-std::string
-FsWorkQueue::specJson()
-{
-    return "";
-}
-std::size_t
-FsWorkQueue::totalJobs()
-{
-    return 0;
-}
-ClaimOutcome
-FsWorkQueue::claim(const std::string&, JobLease*)
-{
-    return ClaimOutcome::Lost;
-}
-bool
-FsWorkQueue::renew(const JobLease&)
-{
-    return false;
-}
-PushOutcome
-FsWorkQueue::push(const JobLease&, const ManifestEntry&)
-{
-    return PushOutcome::Lost;
-}
-double
-FsWorkQueue::noWorkRetrySec()
-{
-    return 0.2;
-}
-
-struct TcpWorkQueue::Impl
-{
-};
-TcpWorkQueue::TcpWorkQueue(std::string, int, double) {}
-TcpWorkQueue::~TcpWorkQueue() = default;
-bool
-TcpWorkQueue::connect(std::string* err)
-{
-    *err = "distributed sweeps are not supported on this platform";
-    return false;
-}
-std::string
-TcpWorkQueue::specJson()
-{
-    return "";
-}
-std::size_t
-TcpWorkQueue::totalJobs()
-{
-    return 0;
-}
-ClaimOutcome
-TcpWorkQueue::claim(const std::string&, JobLease*)
-{
-    return ClaimOutcome::Lost;
-}
-bool
-TcpWorkQueue::renew(const JobLease&)
-{
-    return false;
-}
-PushOutcome
-TcpWorkQueue::push(const JobLease&, const ManifestEntry&)
-{
-    return PushOutcome::Lost;
-}
-double
-TcpWorkQueue::noWorkRetrySec()
-{
-    return 0.2;
-}
-
-struct TcpQueueServer::Impl
-{
-};
-TcpQueueServer::TcpQueueServer() = default;
-TcpQueueServer::~TcpQueueServer() = default;
-bool
-TcpQueueServer::listen(const std::string&, int, Handlers, std::string* err)
-{
-    *err = "distributed sweeps are not supported on this platform";
-    return false;
-}
-int
-TcpQueueServer::port() const
-{
-    return 0;
-}
-void
-TcpQueueServer::poll(double)
-{
-}
-void
-TcpQueueServer::close()
-{
-}
-
-bool
-queryQueueStatus(const std::string&, double, std::string*, std::string* err)
-{
-    if (err != nullptr) {
-        *err = "distributed sweeps are not supported on this platform";
-    }
-    return false;
-}
-
-#else // POSIX
-
-namespace {
-
-// --- filesystem primitives -------------------------------------------------
-
-bool
-ensureDir(const std::string& path)
-{
-    if (::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST) {
-        return true;
-    }
-    return false;
-}
-
-void
-fsyncDir(const std::string& path)
-{
-    int fd = ::open(path.c_str(), O_RDONLY | O_DIRECTORY);
-    if (fd >= 0) {
-        ::fsync(fd);
-        ::close(fd);
-    }
-}
-
-bool
-readWholeFile(const std::string& path, std::string* out)
-{
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-        return false;
-    }
-    out->clear();
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-        out->append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    return n == 0;
-}
-
-/** Writes @p content to @p tmpPath (fsync'd), then renames over
- *  @p finalPath. The rename is atomic; readers never see a torn file. */
-bool
-writeFileAtomic(const std::string& tmpPath, const std::string& finalPath,
-                const std::string& content)
-{
-    int fd = ::open(tmpPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0666);
-    if (fd < 0) {
-        return false;
-    }
-    std::size_t off = 0;
-    while (off < content.size()) {
-        ssize_t w = ::write(fd, content.data() + off, content.size() - off);
-        if (w < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            ::close(fd);
-            ::unlink(tmpPath.c_str());
-            return false;
-        }
-        off += static_cast<std::size_t>(w);
-    }
-    ::fsync(fd);
-    ::close(fd);
-    if (::rename(tmpPath.c_str(), finalPath.c_str()) != 0) {
-        ::unlink(tmpPath.c_str());
-        return false;
-    }
-    return true;
-}
-
-/**
- * First-completion-wins publication: link(2) @p tmpPath to @p finalPath.
- * Exactly one publisher succeeds; the rest see EEXIST.
- */
-enum class LinkResult
-{
-    Linked,
-    Exists,
-    Error
-};
-
-LinkResult
-publishFirstWins(const std::string& tmpPath, const std::string& finalPath)
-{
-    if (::link(tmpPath.c_str(), finalPath.c_str()) == 0) {
-        ::unlink(tmpPath.c_str());
-        return LinkResult::Linked;
-    }
-    int e = errno;
-    ::unlink(tmpPath.c_str());
-    return e == EEXIST ? LinkResult::Exists : LinkResult::Error;
-}
-
-std::vector<std::string>
-listDir(const std::string& path)
-{
-    std::vector<std::string> names;
-    DIR* d = ::opendir(path.c_str());
-    if (d == nullptr) {
-        return names;
-    }
-    while (struct dirent* e = ::readdir(d)) {
-        if (e->d_name[0] == '.') {
-            continue;
-        }
-        names.emplace_back(e->d_name);
-    }
-    ::closedir(d);
-    std::sort(names.begin(), names.end());
-    return names;
-}
-
-bool
-fileExists(const std::string& path)
-{
-    struct stat st;
-    return ::stat(path.c_str(), &st) == 0;
-}
-
-// --- queue file formats ----------------------------------------------------
-
-/** A claimable ticket / an active lease (supersets share one parser). */
-struct TicketInfo
-{
-    std::uint64_t hash = 0;
-    std::uint64_t index = 0;
-    unsigned attempt = 1;
-    std::uint64_t notBeforeMs = 0;
-    std::string workload;
-    std::string label;
-    // lease-only fields
-    std::string worker;
-    std::uint64_t token = 0;
-    std::uint64_t expiryMs = 0;
-};
-
-std::string
-ticketJson(const TicketInfo& t)
-{
-    std::string out = "{\"hash\":\"" + hex16(t.hash) +
-                      "\",\"index\":" + std::to_string(t.index) +
-                      ",\"attempt\":" + std::to_string(t.attempt) +
-                      ",\"not_before_ms\":" + std::to_string(t.notBeforeMs) +
-                      ",\"workload\":\"" + jsonEscape(t.workload) +
-                      "\",\"config\":\"" + jsonEscape(t.label) + "\"";
-    if (t.token != 0) {
-        out += ",\"worker\":\"" + jsonEscape(t.worker) + "\",\"token\":\"" +
-               hex16(t.token) +
-               "\",\"expiry_ms\":" + std::to_string(t.expiryMs);
-    }
-    out += '}';
-    return out;
-}
-
-bool
-parseTicket(const std::string& json, TicketInfo* out)
-{
-    TicketInfo t;
-    std::string hashHex;
-    if (!extractString(json, "hash", &hashHex) ||
-        !hex16To(hashHex, &t.hash) ||
-        !extractU64(json, "index", &t.index) ||
-        !extractString(json, "workload", &t.workload) ||
-        !extractString(json, "config", &t.label)) {
-        return false;
-    }
-    std::uint64_t attempt = 1;
-    extractU64(json, "attempt", &attempt);
-    t.attempt = static_cast<unsigned>(attempt);
-    extractU64(json, "not_before_ms", &t.notBeforeMs);
-    std::string tokenHex;
-    if (extractString(json, "token", &tokenHex)) {
-        hex16To(tokenHex, &t.token);
-        extractString(json, "worker", &t.worker);
-        extractU64(json, "expiry_ms", &t.expiryMs);
-    }
-    *out = std::move(t);
-    return true;
-}
-
-std::string
-queueMetaJson(std::size_t total, const LeasePolicy& p)
-{
-    auto ms = [](double sec) {
-        return std::to_string(
-            static_cast<std::uint64_t>(sec * 1000.0 + 0.5));
-    };
-    return "{\"total\":" + std::to_string(total) +
-           ",\"lease_ttl_ms\":" + ms(p.leaseTtlSec) +
-           ",\"max_attempts\":" + std::to_string(p.maxAttempts) +
-           ",\"backoff_base_ms\":" + ms(p.backoffBaseSec) +
-           ",\"backoff_cap_ms\":" + ms(p.backoffCapSec) +
-           ",\"backoff_jitter_millifrac\":" +
-           std::to_string(static_cast<std::uint64_t>(
-               p.backoffJitterFrac * 1000.0 + 0.5)) +
-           ",\"straggler_after_ms\":" + ms(p.stragglerAfterSec) +
-           ",\"max_duplicates\":" + std::to_string(p.maxDuplicates) +
-           ",\"no_work_retry_ms\":" + ms(p.noWorkRetrySec) + "}";
-}
-
-bool
-parseQueueMeta(const std::string& json, std::size_t* total, LeasePolicy* p)
-{
-    std::uint64_t v = 0;
-    if (!extractU64(json, "total", &v)) {
-        return false;
-    }
-    *total = v;
-    auto sec = [&](const char* key, double* out) {
-        std::uint64_t msv = 0;
-        if (extractU64(json, key, &msv)) {
-            *out = static_cast<double>(msv) / 1000.0;
-        }
-    };
-    sec("lease_ttl_ms", &p->leaseTtlSec);
-    if (extractU64(json, "max_attempts", &v)) {
-        p->maxAttempts = static_cast<unsigned>(v);
-    }
-    sec("backoff_base_ms", &p->backoffBaseSec);
-    sec("backoff_cap_ms", &p->backoffCapSec);
-    if (extractU64(json, "backoff_jitter_millifrac", &v)) {
-        p->backoffJitterFrac = static_cast<double>(v) / 1000.0;
-    }
-    sec("straggler_after_ms", &p->stragglerAfterSec);
-    if (extractU64(json, "max_duplicates", &v)) {
-        p->maxDuplicates = static_cast<unsigned>(v);
-    }
-    sec("no_work_retry_ms", &p->noWorkRetrySec);
-    return true;
-}
-
-std::uint64_t
-processUniqueToken()
-{
-    static std::atomic<std::uint64_t> counter{1};
-    std::uint64_t c = counter.fetch_add(1);
-    std::uint64_t pid = static_cast<std::uint64_t>(::getpid());
-    // Mixed so tokens are unique across hosts sharing a filesystem with
-    // overwhelming probability (pid + wall time + in-process counter).
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (std::uint64_t v : {pid, nowWallMs(), c}) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFF;
-            h *= 0x00000100000001B3ull;
-        }
-    }
-    return h == 0 ? 1 : h;
-}
-
-} // namespace
-
-// --- FsWorkQueue -----------------------------------------------------------
-
-struct FsWorkQueue::Impl
-{
-    std::string root;
-    std::string todoDir;
-    std::string leasedDir;
-    std::string doneDir;
-    std::string tmpDir;
-    double rpcTimeoutSec = 5.0;
-    std::mutex mtx;
-
-    LeasePolicy policy;
-    std::size_t total = 0;
-    std::string spec;
-    bool metaLoaded = false;
-    bool coordinator = false; ///< seeded here: straggler duty is ours
-
-    // Health counters for the status surface (this process's share of
-    // the decentralized queue work).
-    std::atomic<std::uint64_t> stragglerDups{0};
-    std::atomic<std::uint64_t> reclaims{0};
-
-    std::string donePath(std::uint64_t hash) const
-    {
-        return doneDir + "/" + hex16(hash) + ".json";
-    }
-
-    std::string tmpPath(const char* what)
-    {
-        return tmpDir + "/" + what + "-" + hex16(processUniqueToken());
-    }
-
-    bool loadMeta()
-    {
-        if (metaLoaded) {
-            return true;
-        }
-        std::string meta;
-        if (!readWholeFile(root + "/queue.json", &meta) ||
-            !parseQueueMeta(meta, &total, &policy)) {
-            return false;
-        }
-        readWholeFile(root + "/spec.json", &spec); // optional
-        metaLoaded = true;
-        return true;
-    }
-
-    std::size_t doneCountLocked() { return listDir(doneDir).size(); }
-
-    /** Creates the queue directory layout (idempotent). */
-    bool ensureLayoutLocked(std::string* err)
-    {
-        for (const std::string& d :
-             {root, todoDir, leasedDir, doneDir, tmpDir}) {
-            if (!ensureDir(d)) {
-                if (err != nullptr) {
-                    *err = "cannot create queue directory " + d + ": " +
-                           std::strerror(errno);
-                }
-                return false;
-            }
-        }
-        return true;
-    }
-
-    /** Writes a final failure entry for a job whose attempts ran out. */
-    void publishFinalFailure(const TicketInfo& t, const std::string& kind)
-    {
-        ManifestEntry e;
-        e.hash = t.hash;
-        e.index = t.index;
-        e.workload = t.workload;
-        e.label = t.label;
-        e.ok = false;
-        e.errorKind = kind;
-        std::string tmp = tmpPath("fail");
-        if (writeFileAtomic(tmp, tmp, manifestEntryToJsonLine(e) + "\n")) {
-            publishFirstWins(tmp, donePath(t.hash));
-            fsyncDir(doneDir);
-        }
-    }
-
-    /** Requeues @p t for its next attempt with backoff. */
-    void requeueTicket(TicketInfo t)
-    {
-        t.attempt += 1;
-        t.notBeforeMs =
-            nowWallMs() +
-            static_cast<std::uint64_t>(
-                LeaseTable::backoffDelaySec(policy, t.attempt, t.hash) *
-                    1000.0 +
-                0.5);
-        t.worker.clear();
-        t.token = 0;
-        t.expiryMs = 0;
-        std::string tmp = tmpPath("req");
-        std::string ticketPath = todoDir + "/" + hex16(t.hash) + "." +
-                                 hex16(processUniqueToken()) + ".json";
-        writeFileAtomic(tmp, ticketPath, ticketJson(t));
-        fsyncDir(todoDir);
-    }
-
-    void reclaimExpiredLocked()
-    {
-        std::uint64_t now = nowWallMs();
-        for (const std::string& name : listDir(leasedDir)) {
-            std::string path = leasedDir + "/" + name;
-            std::string json;
-            TicketInfo t;
-            if (!readWholeFile(path, &json) || !parseTicket(json, &t)) {
-                continue;
-            }
-            if (fileExists(donePath(t.hash))) {
-                // The job finished (possibly via a duplicate): clean up.
-                std::string tmp = tmpPath("gc");
-                if (::rename(path.c_str(), tmp.c_str()) == 0) {
-                    ::unlink(tmp.c_str());
-                }
-                continue;
-            }
-            if (t.expiryMs > now) {
-                continue;
-            }
-            // Expired: whoever wins the rename owns the reclaim.
-            std::string tmp = tmpPath("reclaim");
-            if (::rename(path.c_str(), tmp.c_str()) != 0) {
-                continue;
-            }
-            ::unlink(tmp.c_str());
-            reclaims.fetch_add(1, std::memory_order_relaxed);
-            if (t.attempt >= policy.maxAttempts) {
-                publishFinalFailure(t, "worker_lost");
-            } else {
-                requeueTicket(t);
-            }
-        }
-        // Stale tickets of completed jobs (straggler duplicates).
-        for (const std::string& name : listDir(todoDir)) {
-            std::string path = todoDir + "/" + name;
-            std::string json;
-            TicketInfo t;
-            if (!readWholeFile(path, &json) || !parseTicket(json, &t)) {
-                continue;
-            }
-            if (fileExists(donePath(t.hash))) {
-                std::string tmp = tmpPath("gc");
-                if (::rename(path.c_str(), tmp.c_str()) == 0) {
-                    ::unlink(tmp.c_str());
-                }
-            }
-        }
-        if (coordinator) {
-            redispatchStragglersLocked(now);
-        }
-    }
-
-    /**
-     * Near the tail — nothing left in todo/ — duplicate the oldest
-     * sufficiently old lease so an idle worker can race the straggler.
-     * Only the seeding coordinator runs this, bounding the duplicate
-     * count per job to LeasePolicy::maxDuplicates.
-     */
-    void redispatchStragglersLocked(std::uint64_t now)
-    {
-        if (policy.maxDuplicates == 0 || !listDir(todoDir).empty()) {
-            return;
-        }
-        // Count active leases per hash; find the oldest.
-        struct PerJob
-        {
-            TicketInfo t;
-            std::size_t count = 0;
-            std::uint64_t oldestGrantMs = ~0ull;
-        };
-        std::unordered_map<std::uint64_t, PerJob> perJob;
-        for (const std::string& name : listDir(leasedDir)) {
-            std::string json;
-            TicketInfo t;
-            if (!readWholeFile(leasedDir + "/" + name, &json) ||
-                !parseTicket(json, &t) || fileExists(donePath(t.hash))) {
-                continue;
-            }
-            PerJob& pj = perJob[t.hash];
-            pj.t = t;
-            pj.count += 1;
-            // Grant time is not stored; expiry - ttl approximates it.
-            std::uint64_t ttlMs = static_cast<std::uint64_t>(
-                policy.leaseTtlSec * 1000.0 + 0.5);
-            std::uint64_t granted =
-                t.expiryMs > ttlMs ? t.expiryMs - ttlMs : 0;
-            pj.oldestGrantMs = std::min(pj.oldestGrantMs, granted);
-        }
-        std::uint64_t stragglerMs = static_cast<std::uint64_t>(
-            policy.stragglerAfterSec * 1000.0 + 0.5);
-        const PerJob* best = nullptr;
-        for (const auto& [hash, pj] : perJob) {
-            (void)hash;
-            if (pj.count > policy.maxDuplicates ||
-                now < pj.oldestGrantMs + stragglerMs) {
-                continue;
-            }
-            if (best == nullptr ||
-                pj.oldestGrantMs < best->oldestGrantMs) {
-                best = &pj;
-            }
-        }
-        if (best != nullptr) {
-            TicketInfo dup = best->t;
-            dup.notBeforeMs = now;
-            dup.worker.clear();
-            dup.token = 0;
-            dup.expiryMs = 0;
-            std::string tmp = tmpPath("dup");
-            std::string ticketPath = todoDir + "/" + hex16(dup.hash) +
-                                     "." + hex16(processUniqueToken()) +
-                                     ".json";
-            if (writeFileAtomic(tmp, ticketPath, ticketJson(dup))) {
-                stragglerDups.fetch_add(1, std::memory_order_relaxed);
-            }
-            fsyncDir(todoDir);
-        }
-    }
-};
-
-FsWorkQueue::FsWorkQueue(std::string dir, double rpcTimeoutSec)
-    : impl(std::make_shared<Impl>())
-{
-    impl->root = std::move(dir);
-    impl->todoDir = impl->root + "/todo";
-    impl->leasedDir = impl->root + "/leased";
-    impl->doneDir = impl->root + "/done";
-    impl->tmpDir = impl->root + "/tmp";
-    impl->rpcTimeoutSec = rpcTimeoutSec;
-}
-
-bool
-FsWorkQueue::seed(const std::vector<ManifestEntry>& jobs,
-                  const std::string& specJson, const LeasePolicy& policy,
-                  std::string* err)
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    if (!impl->ensureLayoutLocked(err)) {
-        return false;
-    }
-    if (!writeFileAtomic(impl->tmpDir + "/queue.json.tmp",
-                         impl->root + "/queue.json",
-                         queueMetaJson(jobs.size(), policy))) {
-        *err = "cannot write queue.json";
-        return false;
-    }
-    if (!specJson.empty() &&
-        !writeFileAtomic(impl->tmpDir + "/spec.json.tmp",
-                         impl->root + "/spec.json", specJson)) {
-        *err = "cannot write spec.json";
-        return false;
-    }
-    std::uint64_t now = nowWallMs();
-    for (const ManifestEntry& job : jobs) {
-        if (fileExists(impl->donePath(job.hash))) {
-            continue; // resume: already recorded by a previous run
-        }
-        TicketInfo t;
-        t.hash = job.hash;
-        t.index = job.index;
-        t.attempt = 1;
-        t.notBeforeMs = now;
-        t.workload = job.workload;
-        t.label = job.label;
-        // Skip if any ticket/lease for this hash already exists (resume
-        // onto a live queue): the hash prefix makes this a name scan.
-        bool live = false;
-        std::string prefix = hex16(job.hash) + ".";
-        for (const std::string& dir : {impl->todoDir, impl->leasedDir}) {
-            for (const std::string& name : listDir(dir)) {
-                if (name.rfind(prefix, 0) == 0) {
-                    live = true;
-                    break;
-                }
-            }
-        }
-        if (live) {
-            continue;
-        }
-        std::string ticketPath = impl->todoDir + "/" + hex16(t.hash) +
-                                 "." + hex16(processUniqueToken()) +
-                                 ".json";
-        if (!writeFileAtomic(impl->tmpPath("seed"), ticketPath,
-                             ticketJson(t))) {
-            *err = "cannot write ticket for job " + std::to_string(t.index);
-            return false;
-        }
-    }
-    fsyncDir(impl->todoDir);
-    fsyncDir(impl->root);
-    impl->metaLoaded = false;
-    impl->coordinator = true;
-    return impl->loadMeta();
-}
-
-void
-FsWorkQueue::reclaimExpired()
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    if (impl->loadMeta()) {
-        impl->reclaimExpiredLocked();
-    }
-}
-
-bool
-FsWorkQueue::injectDone(const ManifestEntry& entry)
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    // Resume injections happen before seed() lays out the directory.
-    if (!impl->ensureLayoutLocked(nullptr)) {
-        return false;
-    }
-    std::string tmp = impl->tmpPath("inject");
-    if (!writeFileAtomic(tmp, tmp, manifestEntryToJsonLine(entry) + "\n")) {
-        return false;
-    }
-    LinkResult lr = publishFirstWins(tmp, impl->donePath(entry.hash));
-    fsyncDir(impl->doneDir);
-    return lr != LinkResult::Error;
-}
-
-std::size_t
-FsWorkQueue::doneCount()
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    return impl->doneCountLocked();
-}
-
-std::vector<ManifestEntry>
-FsWorkQueue::collectDone()
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    std::vector<ManifestEntry> out;
-    for (const std::string& name : listDir(impl->doneDir)) {
-        std::string line;
-        if (!readWholeFile(impl->doneDir + "/" + name, &line)) {
-            continue;
-        }
-        while (!line.empty() &&
-               (line.back() == '\n' || line.back() == '\r')) {
-            line.pop_back();
-        }
-        ManifestEntry e;
-        if (manifestEntryFromJsonLine(line, &e)) {
-            out.push_back(std::move(e));
-        }
-    }
-    return out;
-}
-
-std::vector<FsLeaseInfo>
-FsWorkQueue::scanLeases()
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    std::vector<FsLeaseInfo> out;
-    for (const std::string& name : listDir(impl->leasedDir)) {
-        std::string json;
-        TicketInfo t;
-        if (!readWholeFile(impl->leasedDir + "/" + name, &json) ||
-            !parseTicket(json, &t) || t.token == 0) {
-            continue;
-        }
-        FsLeaseInfo li;
-        li.hash = t.hash;
-        li.index = t.index;
-        li.attempt = t.attempt;
-        li.worker = t.worker;
-        li.token = t.token;
-        li.expiryMs = t.expiryMs;
-        out.push_back(std::move(li));
-    }
-    return out;
-}
-
-std::size_t
-FsWorkQueue::todoCount()
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    return listDir(impl->todoDir).size();
-}
-
-std::uint64_t
-FsWorkQueue::stragglerTicketsIssued() const
-{
-    return impl->stragglerDups.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-FsWorkQueue::leasesReclaimed() const
-{
-    return impl->reclaims.load(std::memory_order_relaxed);
-}
-
-bool
-FsWorkQueue::writeStatusFile(const std::string& statusJson)
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    return writeFileAtomic(impl->tmpPath("status"),
-                           impl->root + "/status.json", statusJson + "\n");
-}
-
-bool
-FsWorkQueue::connect(std::string* err)
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    if (!impl->loadMeta()) {
-        *err = "not a queue directory (missing/unreadable queue.json): " +
-               impl->root;
-        return false;
-    }
-    return true;
-}
-
-std::string
-FsWorkQueue::specJson()
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    impl->loadMeta();
-    return impl->spec;
-}
-
-std::size_t
-FsWorkQueue::totalJobs()
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    impl->loadMeta();
-    return impl->total;
-}
-
-ClaimOutcome
-FsWorkQueue::claim(const std::string& worker, JobLease* out)
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    if (!impl->loadMeta()) {
-        return ClaimOutcome::Lost;
-    }
-    // Two passes: scan, then reclaim-expired + rescan. Reclaim is what
-    // keeps the sweep draining when another worker died mid-job.
-    for (int pass = 0; pass < 2; ++pass) {
-        std::uint64_t now = nowWallMs();
-        for (const std::string& name : listDir(impl->todoDir)) {
-            std::string path = impl->todoDir + "/" + name;
-            std::string json;
-            TicketInfo t;
-            if (!readWholeFile(path, &json) || !parseTicket(json, &t)) {
-                continue;
-            }
-            if (fileExists(impl->donePath(t.hash))) {
-                std::string tmp = impl->tmpPath("gc");
-                if (::rename(path.c_str(), tmp.c_str()) == 0) {
-                    ::unlink(tmp.c_str());
-                }
-                continue;
-            }
-            if (t.notBeforeMs > now) {
-                continue;
-            }
-            std::uint64_t token = processUniqueToken();
-            std::string leasePath = impl->leasedDir + "/" +
-                                    hex16(t.hash) + "." + hex16(token) +
-                                    ".json";
-            if (::rename(path.c_str(), leasePath.c_str()) != 0) {
-                continue; // lost the race — next ticket
-            }
-            // We own the job: flesh the file out into a lease.
-            t.worker = worker;
-            t.token = token;
-            t.expiryMs = now + static_cast<std::uint64_t>(
-                                   impl->policy.leaseTtlSec * 1000.0 + 0.5);
-            writeFileAtomic(impl->tmpPath("lease"), leasePath,
-                            ticketJson(t));
-            fsyncDir(impl->leasedDir);
-            out->hash = t.hash;
-            out->index = t.index;
-            out->token = token;
-            out->attempt = t.attempt;
-            out->ttlSec = impl->policy.leaseTtlSec;
-            return ClaimOutcome::Granted;
-        }
-        if (pass == 0) {
-            impl->reclaimExpiredLocked();
-        }
-    }
-    if (impl->doneCountLocked() >= impl->total) {
-        return ClaimOutcome::Drained;
-    }
-    return ClaimOutcome::NoWork;
-}
-
-bool
-FsWorkQueue::renew(const JobLease& lease)
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    if (!impl->loadMeta()) {
-        return false;
-    }
-    std::string path = impl->leasedDir + "/" + hex16(lease.hash) + "." +
-                       hex16(lease.token) + ".json";
-    std::string json;
-    TicketInfo t;
-    if (!readWholeFile(path, &json) || !parseTicket(json, &t)) {
-        return false; // reclaimed from under us
-    }
-    t.expiryMs = nowWallMs() + static_cast<std::uint64_t>(
-                                   impl->policy.leaseTtlSec * 1000.0 + 0.5);
-    return writeFileAtomic(impl->tmpPath("renew"), path, ticketJson(t));
-}
-
-PushOutcome
-FsWorkQueue::push(const JobLease& lease, const ManifestEntry& entry)
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    if (!impl->loadMeta()) {
-        return PushOutcome::Lost;
-    }
-    std::string leasePath = impl->leasedDir + "/" + hex16(lease.hash) +
-                            "." + hex16(lease.token) + ".json";
-    PushOutcome outcome = PushOutcome::Recorded;
-    if (entry.ok) {
-        std::string tmp = impl->tmpPath("done");
-        if (!writeFileAtomic(tmp, tmp,
-                             manifestEntryToJsonLine(entry) + "\n")) {
-            return PushOutcome::Lost;
-        }
-        LinkResult lr = publishFirstWins(tmp, impl->donePath(lease.hash));
-        fsyncDir(impl->doneDir);
-        if (lr == LinkResult::Exists) {
-            outcome = PushOutcome::Duplicate;
-        } else if (lr == LinkResult::Error) {
-            return PushOutcome::Lost;
-        }
-    } else if (fileExists(impl->donePath(lease.hash))) {
-        outcome = PushOutcome::Duplicate;
-    } else if (lease.attempt >= impl->policy.maxAttempts) {
-        TicketInfo t;
-        t.hash = lease.hash;
-        t.index = lease.index;
-        t.workload = entry.workload;
-        t.label = entry.label;
-        impl->publishFinalFailure(t, entry.errorKind);
-    } else {
-        TicketInfo t;
-        t.hash = lease.hash;
-        t.index = lease.index;
-        t.attempt = lease.attempt; // requeueTicket bumps it
-        t.workload = entry.workload;
-        t.label = entry.label;
-        impl->requeueTicket(t);
-    }
-    // Release the lease either way.
-    std::string tmp = impl->tmpPath("rel");
-    if (::rename(leasePath.c_str(), tmp.c_str()) == 0) {
-        ::unlink(tmp.c_str());
-    }
-    return outcome;
-}
-
-double
-FsWorkQueue::noWorkRetrySec()
-{
-    std::lock_guard<std::mutex> lock(impl->mtx);
-    impl->loadMeta();
-    return impl->policy.noWorkRetrySec;
-}
-
-// --- TCP protocol ----------------------------------------------------------
-
-namespace {
-
-constexpr std::uint32_t kQueueMagic = 0x55445132; // "UDQ2"
-
-enum QueueOp : std::uint8_t
-{
-    OpHello = 1,
-    OpClaim = 2,
-    OpRenew = 3,
-    OpPush = 4,
-    OpStatus = 5, ///< live sweep status JSON (obs/status.h schema)
-};
-
-enum QueueStatus : std::uint8_t
-{
-    StGranted = 0, // also generic OK
-    StNoWork = 1,
-    StDrained = 2,
-    StDuplicate = 3,
-    StUnknown = 4,
-    StRequeued = 5,
-};
 
 bool
 sendAllDeadline(int fd, const std::string& data, double deadlineMono)
@@ -1271,7 +143,7 @@ recvFrame(int fd, std::string* payload, double deadlineMono)
     std::size_t pos = 0;
     std::uint32_t len = 0;
     readU32(hdr, &pos, &len);
-    if (len > (64u << 20)) {
+    if (len > kMaxFrameBytes) {
         return false; // absurd frame: protocol error
     }
     return recvExactDeadline(fd, payload, len, deadlineMono);
@@ -1338,9 +210,40 @@ connectWithTimeout(const std::string& host, int port, double timeoutSec,
 
 } // namespace
 
-// --- TcpWorkQueue (client) -------------------------------------------------
+bool
+parseQueueEndpoint(const std::string& endpoint, bool allowPortZero,
+                   QueueEndpoint* out, std::string* err)
+{
+    QueueEndpoint ep;
+    bool ok = endpoint.rfind("tcp:", 0) == 0;
+    if (ok) {
+        std::string rest = endpoint.substr(4);
+        std::size_t colon = rest.rfind(':');
+        std::string port = rest;
+        ep.host = "127.0.0.1";
+        if (colon != std::string::npos) {
+            port = rest.substr(colon + 1);
+            if (colon != 0) {
+                ep.host = rest.substr(0, colon);
+            }
+        }
+        ok = parsePort(port, &ep.port) && (allowPortZero || ep.port != 0);
+    }
+    if (!ok) {
+        if (err != nullptr) {
+            *err = "bad queue endpoint \"" + endpoint +
+                   "\" (want tcp:HOST:PORT with PORT " +
+                   (allowPortZero ? "0" : "1") + "..65535)";
+        }
+        return false;
+    }
+    *out = std::move(ep);
+    return true;
+}
 
-struct TcpWorkQueue::Impl
+// --- WorkQueue (client) ----------------------------------------------------
+
+struct WorkQueue::Impl
 {
     std::string host;
     int port = 0;
@@ -1350,7 +253,6 @@ struct TcpWorkQueue::Impl
     std::string spec;
     std::size_t total = 0;
     double retrySec = 0.2;
-    bool helloDone = false;
 
     void disconnect()
     {
@@ -1358,7 +260,6 @@ struct TcpWorkQueue::Impl
             ::close(fd);
             fd = -1;
         }
-        helloDone = false;
     }
 
     bool helloLocked(std::string* err)
@@ -1392,7 +293,6 @@ struct TcpWorkQueue::Impl
         }
         total = total64;
         retrySec = static_cast<double>(retryMs) / 1000.0;
-        helloDone = true;
         return true;
     }
 
@@ -1423,22 +323,22 @@ struct TcpWorkQueue::Impl
     }
 };
 
-TcpWorkQueue::TcpWorkQueue(std::string host, int port, double rpcTimeoutSec)
-    : impl(std::make_shared<Impl>())
+WorkQueue::WorkQueue(std::string host, int port, double rpcTimeoutSec)
+    : impl(std::make_unique<Impl>())
 {
     impl->host = std::move(host);
     impl->port = port;
     impl->rpcTimeoutSec = rpcTimeoutSec;
 }
 
-TcpWorkQueue::~TcpWorkQueue()
+WorkQueue::~WorkQueue()
 {
     std::lock_guard<std::mutex> lock(impl->mtx);
     impl->disconnect();
 }
 
 bool
-TcpWorkQueue::connect(std::string* err)
+WorkQueue::connect(std::string* err)
 {
     wire::installSigpipeIgnore();
     std::lock_guard<std::mutex> lock(impl->mtx);
@@ -1458,21 +358,21 @@ TcpWorkQueue::connect(std::string* err)
 }
 
 std::string
-TcpWorkQueue::specJson()
+WorkQueue::specJson()
 {
     std::lock_guard<std::mutex> lock(impl->mtx);
     return impl->spec;
 }
 
 std::size_t
-TcpWorkQueue::totalJobs()
+WorkQueue::totalJobs()
 {
     std::lock_guard<std::mutex> lock(impl->mtx);
     return impl->total;
 }
 
 ClaimOutcome
-TcpWorkQueue::claim(const std::string& worker, JobLease* out)
+WorkQueue::claim(const std::string& worker, JobLease* out)
 {
     std::lock_guard<std::mutex> lock(impl->mtx);
     std::string req;
@@ -1522,7 +422,7 @@ TcpWorkQueue::claim(const std::string& worker, JobLease* out)
 }
 
 bool
-TcpWorkQueue::renew(const JobLease& lease)
+WorkQueue::renew(const JobLease& lease)
 {
     std::lock_guard<std::mutex> lock(impl->mtx);
     std::string req;
@@ -1540,7 +440,7 @@ TcpWorkQueue::renew(const JobLease& lease)
 }
 
 PushOutcome
-TcpWorkQueue::push(const JobLease& lease, const ManifestEntry& entry)
+WorkQueue::push(const JobLease& lease, const ManifestEntry& entry)
 {
     std::lock_guard<std::mutex> lock(impl->mtx);
     std::string req;
@@ -1570,7 +470,7 @@ TcpWorkQueue::push(const JobLease& lease, const ManifestEntry& entry)
 }
 
 double
-TcpWorkQueue::noWorkRetrySec()
+WorkQueue::noWorkRetrySec()
 {
     std::lock_guard<std::mutex> lock(impl->mtx);
     return impl->retrySec;
@@ -1606,39 +506,66 @@ struct TcpQueueServer::Impl
         }
     }
 
+    std::uint32_t retryMs() const
+    {
+        double sec = handlers.retrySec ? handlers.retrySec() : 0.2;
+        return static_cast<std::uint32_t>(sec * 1000.0 + 0.5);
+    }
+
+    /**
+     * Answers one request frame. Every field of the opcode is parsed,
+     * and the frame must end right after the last one, before any
+     * handler runs: a torn or padded frame is answered StUnknown.
+     */
     std::string handleRequest(const std::string& req)
     {
         std::string resp;
         appendU32(&resp, kQueueMagic);
         std::size_t pos = 0;
         std::uint32_t magic = 0;
-        if (!readU32(req, &pos, &magic) || magic != kQueueMagic ||
-            pos >= req.size()) {
+        std::uint8_t op = 0;
+        std::string str; // HELLO/CLAIM worker name, PUSH entry JSON
+        std::uint64_t token = 0;
+        ManifestEntry entry;
+        bool ok = readU32(req, &pos, &magic) && magic == kQueueMagic &&
+                  pos < req.size();
+        if (ok) {
+            op = static_cast<std::uint8_t>(req[pos++]);
+            switch (op) {
+            case OpHello:
+            case OpClaim:
+                ok = readStr(req, &pos, &str);
+                break;
+            case OpRenew:
+                ok = readU64(req, &pos, &token);
+                break;
+            case OpPush:
+                ok = readU64(req, &pos, &token) &&
+                     readStr(req, &pos, &str) &&
+                     manifestEntryFromJsonLine(str, &entry);
+                break;
+            case OpStatus:
+                break;
+            default:
+                ok = false;
+                break;
+            }
+        }
+        if (!ok || pos != req.size()) {
             resp.push_back(static_cast<char>(StUnknown));
             return resp;
         }
-        std::uint8_t op = static_cast<std::uint8_t>(req[pos++]);
         switch (op) {
-        case OpHello: {
-            std::string worker;
-            readStr(req, &pos, &worker);
+        case OpHello:
             resp.push_back(static_cast<char>(StGranted));
             appendStr(&resp, handlers.spec ? handlers.spec() : "");
             appendU64(&resp, handlers.total ? handlers.total() : 0);
-            appendU32(&resp,
-                      static_cast<std::uint32_t>(
-                          (handlers.retrySec ? handlers.retrySec() : 0.2) *
-                              1000.0 +
-                          0.5));
-            return resp;
-        }
+            appendU32(&resp, retryMs());
+            break;
         case OpClaim: {
-            std::string worker;
-            readStr(req, &pos, &worker);
             JobLease lease;
-            ClaimOutcome co = handlers.claim
-                                  ? handlers.claim(worker, &lease)
-                                  : ClaimOutcome::Drained;
+            ClaimOutcome co = handlers.claim ? handlers.claim(str, &lease)
+                                             : ClaimOutcome::Drained;
             if (co == ClaimOutcome::Granted) {
                 resp.push_back(static_cast<char>(StGranted));
                 appendU64(&resp, lease.hash);
@@ -1649,62 +576,38 @@ struct TcpQueueServer::Impl
                                      lease.ttlSec * 1000.0 + 0.5));
             } else if (co == ClaimOutcome::NoWork) {
                 resp.push_back(static_cast<char>(StNoWork));
-                appendU32(
-                    &resp,
-                    static_cast<std::uint32_t>(
-                        (handlers.retrySec ? handlers.retrySec() : 0.2) *
-                            1000.0 +
-                        0.5));
+                appendU32(&resp, retryMs());
             } else {
                 resp.push_back(static_cast<char>(StDrained));
             }
-            return resp;
+            break;
         }
         case OpRenew: {
-            std::uint64_t token = 0;
-            bool ok = readU64(req, &pos, &token) && handlers.renew &&
-                      handlers.renew(token);
-            resp.push_back(static_cast<char>(ok ? StGranted : StUnknown));
-            return resp;
+            bool renewed = handlers.renew && handlers.renew(token);
+            resp.push_back(
+                static_cast<char>(renewed ? StGranted : StUnknown));
+            break;
         }
         case OpPush: {
-            std::uint64_t token = 0;
-            std::string entryJson;
-            ManifestEntry entry;
-            if (!readU64(req, &pos, &token) ||
-                !readStr(req, &pos, &entryJson) ||
-                !manifestEntryFromJsonLine(entryJson, &entry) ||
-                !handlers.push) {
-                resp.push_back(static_cast<char>(StUnknown));
-                return resp;
+            LeaseTable::Push pr = handlers.push ? handlers.push(token, entry)
+                                                : LeaseTable::Push::Unknown;
+            QueueStatus st = StUnknown;
+            if (pr == LeaseTable::Push::RecordedFinal) {
+                st = StGranted;
+            } else if (pr == LeaseTable::Push::Requeued) {
+                st = StRequeued;
+            } else if (pr == LeaseTable::Push::Duplicate) {
+                st = StDuplicate;
             }
-            LeaseTable::Push pr = handlers.push(token, entry);
-            switch (pr) {
-            case LeaseTable::Push::RecordedFinal:
-                resp.push_back(static_cast<char>(StGranted));
-                break;
-            case LeaseTable::Push::Requeued:
-                resp.push_back(static_cast<char>(StRequeued));
-                break;
-            case LeaseTable::Push::Duplicate:
-                resp.push_back(static_cast<char>(StDuplicate));
-                break;
-            default:
-                resp.push_back(static_cast<char>(StUnknown));
-                break;
-            }
-            return resp;
+            resp.push_back(static_cast<char>(st));
+            break;
         }
-        case OpStatus: {
+        default: // OpStatus
             resp.push_back(static_cast<char>(StGranted));
-            appendStr(&resp,
-                      handlers.status ? handlers.status() : "{}");
-            return resp;
+            appendStr(&resp, handlers.status ? handlers.status() : "{}");
+            break;
         }
-        default:
-            resp.push_back(static_cast<char>(StUnknown));
-            return resp;
-        }
+        return resp;
     }
 
     /** Consumes complete frames from @p c.inBuf, queueing responses. */
@@ -1717,7 +620,7 @@ struct TcpQueueServer::Impl
             std::size_t pos = 0;
             std::uint32_t len = 0;
             readU32(c.inBuf, &pos, &len);
-            if (len > (64u << 20)) {
+            if (len > kMaxFrameBytes) {
                 ::close(c.fd);
                 c.fd = -1;
                 return;
@@ -1745,6 +648,10 @@ bool
 TcpQueueServer::listen(const std::string& host, int port, Handlers handlers,
                        std::string* err)
 {
+    if (port < 0 || port > 65535) {
+        *err = "listen port out of range: " + std::to_string(port);
+        return false;
+    }
     wire::installSigpipeIgnore();
     impl->handlers = std::move(handlers);
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -1887,22 +794,9 @@ bool
 queryQueueStatus(const std::string& endpoint, double timeoutSec,
                  std::string* statusJson, std::string* err)
 {
-    QueueEndpoint ep = parseQueueEndpoint(endpoint);
-    if (!ep.tcp) {
-        std::string raw;
-        if (!readWholeFile(ep.dir + "/status.json", &raw)) {
-            if (err != nullptr) {
-                *err = "no status published yet at " + ep.dir +
-                       "/status.json";
-            }
-            return false;
-        }
-        while (!raw.empty() &&
-               (raw.back() == '\n' || raw.back() == '\r')) {
-            raw.pop_back();
-        }
-        *statusJson = std::move(raw);
-        return true;
+    QueueEndpoint ep;
+    if (!parseQueueEndpoint(endpoint, false, &ep, err)) {
+        return false;
     }
     wire::installSigpipeIgnore();
     int fd = connectWithTimeout(ep.host, ep.port, timeoutSec, err);
@@ -1937,23 +831,15 @@ queryQueueStatus(const std::string& endpoint, double timeoutSec,
     return true;
 }
 
-#endif // POSIX
-
 std::unique_ptr<WorkQueue>
 openWorkQueue(const std::string& endpoint, double rpcTimeoutSec,
               std::string* err)
 {
-    QueueEndpoint ep = parseQueueEndpoint(endpoint);
-    std::unique_ptr<WorkQueue> q;
-    if (ep.tcp) {
-        if (ep.port <= 0 || ep.port > 65535) {
-            *err = "bad TCP endpoint \"" + endpoint + "\" (want tcp:HOST:PORT)";
-            return nullptr;
-        }
-        q = std::make_unique<TcpWorkQueue>(ep.host, ep.port, rpcTimeoutSec);
-    } else {
-        q = std::make_unique<FsWorkQueue>(ep.dir, rpcTimeoutSec);
+    QueueEndpoint ep;
+    if (!parseQueueEndpoint(endpoint, false, &ep, err)) {
+        return nullptr;
     }
+    auto q = std::make_unique<WorkQueue>(ep.host, ep.port, rpcTimeoutSec);
     if (!q->connect(err)) {
         return nullptr;
     }

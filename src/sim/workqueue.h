@@ -1,26 +1,15 @@
 /**
  * @file
- * Pluggable transports for the distributed sweep work queue
- * (docs/ROBUSTNESS.md §10). Workers see one interface — claim / renew /
- * push — over two backends:
+ * The TCP transport of the distributed sweep work queue
+ * (docs/ROBUSTNESS.md §10): a minimal length-prefixed RPC protocol
+ * (framing shared with sim/procexec.cc via sim/wire.h) between worker
+ * clients (WorkQueue) and a single-threaded coordinator server
+ * (TcpQueueServer) backed by the authoritative LeaseTable. Every RPC has
+ * a connect/read deadline budget; a dead coordinator yields
+ * ClaimOutcome::Lost / PushOutcome::Lost so the worker can flush its
+ * in-flight result locally.
  *
- *   - FsWorkQueue: a shared-filesystem queue directory. Claims are
- *     atomic rename(2) of ticket files, completions are link(2)
- *     (first-completion-wins), lease heartbeats rewrite the lease file
- *     via tmp + rename, and everything durable is fsync'd. The queue is
- *     decentralized: any participant (worker or coordinator) reclaims
- *     expired leases, so workers keep draining the sweep even if the
- *     coordinator dies.
- *
- *   - TcpWorkQueue: a minimal length-prefixed RPC protocol (framing
- *     shared with sim/procexec.cc via sim/wire.h) against a
- *     single-threaded coordinator server holding the authoritative
- *     LeaseTable. Every RPC has a connect/read deadline budget; a dead
- *     coordinator yields ClaimOutcome::Lost / PushOutcome::Lost so the
- *     worker can flush its in-flight result locally.
- *
- * Endpoints are strings: "tcp:HOST:PORT" (or "tcp:PORT" for
- * 127.0.0.1) selects TCP, anything else is a queue directory path.
+ * Endpoints are strings: "tcp:HOST:PORT", or "tcp:PORT" for 127.0.0.1.
  */
 
 #ifndef UDP_SIM_WORKQUEUE_H
@@ -31,12 +20,55 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/lease.h"
 #include "sim/manifest.h"
 
 namespace udp {
+
+namespace wire {
+
+/**
+ * The queue protocol. A request frame is magic (u32), opcode (u8), then
+ * the opcode's fields and nothing else; a response is magic, status
+ * (u8), then the status's fields. A request whose fields do not parse
+ * exactly is answered StUnknown without reaching any handler.
+ *
+ *   OpHello  worker (str)           -> StGranted spec (str) total (u64)
+ *                                      retry_ms (u32)
+ *   OpClaim  worker (str)           -> StGranted hash index token (u64)
+ *                                      attempt ttl_ms (u32)
+ *                                    | StNoWork retry_ms (u32) | StDrained
+ *   OpRenew  token (u64)            -> StGranted | StUnknown
+ *   OpPush   token (u64) entry (str)-> StGranted | StRequeued
+ *                                    | StDuplicate | StUnknown
+ *   OpStatus (no fields)            -> StGranted status JSON (str)
+ */
+constexpr std::uint32_t kQueueMagic = 0x55445132; // "UDQ2"
+
+enum QueueOp : std::uint8_t
+{
+    OpHello = 1,
+    OpClaim = 2,
+    OpRenew = 3,
+    OpPush = 4,
+    OpStatus = 5,
+};
+
+enum QueueStatus : std::uint8_t
+{
+    StGranted = 0, // also generic OK
+    StNoWork = 1,
+    StDrained = 2,
+    StDuplicate = 3,
+    StUnknown = 4,
+    StRequeued = 5,
+};
+
+/** Largest frame either side accepts; a longer one is a protocol error. */
+constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
+
+} // namespace wire
 
 /** Outcome of delivering a job result to the queue. */
 enum class PushOutcome
@@ -46,60 +78,70 @@ enum class PushOutcome
     Lost,      ///< coordinator unreachable — flush locally
 };
 
+/** Parsed "tcp:HOST:PORT" endpoint. */
+struct QueueEndpoint
+{
+    std::string host;
+    int port = 0;
+};
+
 /**
- * Worker-side view of a sweep work queue. Implementations are
- * internally synchronized for the worker's heartbeat thread (renew may
- * race a concurrent claim/push).
+ * Parses "tcp:HOST:PORT" / "tcp:PORT" (host 127.0.0.1). The port must be
+ * all decimal digits in 1..65535, or 0 when @p allowPortZero (the
+ * coordinator side, where 0 binds an ephemeral port). Returns false with
+ * @p err naming the expected form.
+ */
+bool parseQueueEndpoint(const std::string& endpoint, bool allowPortZero,
+                        QueueEndpoint* out, std::string* err);
+
+/**
+ * Worker-side client of a coordinator's queue. Internally synchronized
+ * for the worker's heartbeat thread (renew may race a concurrent
+ * claim/push). Obtain one from openWorkQueue().
  */
 class WorkQueue
 {
   public:
-    virtual ~WorkQueue() = default;
+    WorkQueue(std::string host, int port, double rpcTimeoutSec);
+    ~WorkQueue();
+    WorkQueue(const WorkQueue&) = delete;
+    WorkQueue& operator=(const WorkQueue&) = delete;
 
-    /** Establishes the connection / validates the queue directory. */
-    virtual bool connect(std::string* err) = 0;
+    /** Connects and runs the HELLO exchange. */
+    bool connect(std::string* err);
 
     /** The sweep spec JSON this queue serves ("" for bench pairing,
      *  where both sides construct the job list from their own argv). */
-    virtual std::string specJson() = 0;
+    std::string specJson();
 
     /** Total jobs in the sweep (drain detection). */
-    virtual std::size_t totalJobs() = 0;
+    std::size_t totalJobs();
 
     /** Tries to claim one job lease. */
-    virtual ClaimOutcome claim(const std::string& worker, JobLease* out) = 0;
+    ClaimOutcome claim(const std::string& worker, JobLease* out);
 
     /** Heartbeat on a held lease; false when the lease is gone (the job
      *  may have been reclaimed — completion is still safe to attempt). */
-    virtual bool renew(const JobLease& lease) = 0;
+    bool renew(const JobLease& lease);
 
     /**
      * Delivers the result of a leased job. @p entry carries the full
      * manifest record: ok entries hold the serialized Report (byte-exact
-     * round trip), failed entries the error kind. The queue applies its
-     * retry policy to failures; completions are idempotent.
+     * round trip), failed entries the error kind. The coordinator
+     * applies its retry policy to failures; completions are idempotent.
      */
-    virtual PushOutcome push(const JobLease& lease,
-                             const ManifestEntry& entry) = 0;
+    PushOutcome push(const JobLease& lease, const ManifestEntry& entry);
 
     /** Retry hint after NoWork, seconds. */
-    virtual double noWorkRetrySec() = 0;
-};
+    double noWorkRetrySec();
 
-/** Parsed endpoint. */
-struct QueueEndpoint
-{
-    bool tcp = false;
-    std::string host; ///< tcp only
-    int port = 0;     ///< tcp only
-    std::string dir;  ///< filesystem only
+  private:
+    struct Impl;
+    std::unique_ptr<Impl> impl;
 };
-
-/** Parses "tcp:HOST:PORT" / "tcp:PORT" / directory path. */
-QueueEndpoint parseQueueEndpoint(const std::string& endpoint);
 
 /**
- * Opens a worker-side queue client for @p endpoint.
+ * Opens a connected worker-side queue client for @p endpoint.
  * Returns nullptr with @p err set on failure.
  */
 std::unique_ptr<WorkQueue> openWorkQueue(const std::string& endpoint,
@@ -108,137 +150,11 @@ std::unique_ptr<WorkQueue> openWorkQueue(const std::string& endpoint,
 
 /**
  * Fetches the live sweep status JSON (obs/status.h schema) from
- * @p endpoint: one OpStatus RPC for "tcp:..." endpoints, a read of
- * "<dir>/status.json" for queue directories. Used by tools/udp_top.
- * Returns false with @p err set when the coordinator is unreachable or
- * no status has been published yet.
+ * @p endpoint with one OpStatus RPC. Used by tools/udp_top. Returns
+ * false with @p err set when the coordinator is unreachable.
  */
 bool queryQueueStatus(const std::string& endpoint, double timeoutSec,
                       std::string* statusJson, std::string* err);
-
-// --- filesystem backend ----------------------------------------------------
-
-/**
- * The shared-directory queue. Layout under the queue root:
- *
- *   queue.json           total jobs + lease policy (written at seed time)
- *   spec.json            the sweep spec served to udp_worker ("" = none)
- *   todo/<hash>.<n>.json claimable tickets {hash,index,attempt,not_before}
- *   leased/<hash>.<token>.json  active leases {... worker, expiry}
- *   done/<hash>.json     final ManifestEntry line (ok or failed)
- *   tmp/                 staging for atomic rename/link
- *
- * All transitions are single atomic directory operations, so any number
- * of workers race safely: rename(2) from todo/ decides claims, link(2)
- * into done/ decides completions (EEXIST = duplicate), and rename into
- * tmp/ decides who reclaims an expired lease.
- */
-/** One active lease as read off the queue directory (status snapshot). */
-struct FsLeaseInfo
-{
-    std::uint64_t hash = 0;
-    std::uint64_t index = 0;
-    unsigned attempt = 1;
-    std::string worker;
-    std::uint64_t token = 0;
-    std::uint64_t expiryMs = 0; ///< wall-clock expiry
-};
-
-class FsWorkQueue : public WorkQueue
-{
-  public:
-    FsWorkQueue(std::string dir, double rpcTimeoutSec);
-
-    /**
-     * Coordinator: creates the directory layout and seeds one ticket
-     * per job not already recorded in done/ (restarting on an existing
-     * queue directory is the resume path — state lives in the
-     * directory). @p jobs are ManifestEntry skeletons (hash, index,
-     * workload, label — no report); the workload/label ride along on
-     * tickets so a reclaim that exhausts attempts can record a complete
-     * failure entry. Existing done entries whose hash matches are kept.
-     */
-    bool seed(const std::vector<ManifestEntry>& jobs,
-              const std::string& specJson, const LeasePolicy& policy,
-              std::string* err);
-
-    /**
-     * Requeues expired leases (or records their final failure once
-     * attempts are exhausted) and sweeps stale tickets/leases of jobs
-     * that already completed. Run by the coordinator every poll tick
-     * and by workers whenever they find nothing to claim — reclaim
-     * does not depend on the coordinator being alive.
-     */
-    void reclaimExpired();
-
-    /** Coordinator resume: records @p entry directly into done/ (used
-     *  to absorb a checkpoint manifest or worker shard files). First
-     *  writer wins, like any completion. */
-    bool injectDone(const ManifestEntry& entry);
-
-    /** Completed-or-finally-failed count (scan of done/). */
-    std::size_t doneCount();
-
-    /** Loads every done/ entry, keyed by job hash. */
-    std::vector<ManifestEntry> collectDone();
-
-    /** Snapshot of every active lease file (live status surface). */
-    std::vector<FsLeaseInfo> scanLeases();
-
-    /** Claimable tickets currently in todo/ (live status surface). */
-    std::size_t todoCount();
-
-    /** Straggler duplicate tickets this process has issued. */
-    std::uint64_t stragglerTicketsIssued() const;
-
-    /** Expired leases this process has reclaimed. */
-    std::uint64_t leasesReclaimed() const;
-
-    /**
-     * Publishes @p statusJson atomically as "<dir>/status.json" — the FS
-     * transport's live status surface, refreshed by the coordinator each
-     * poll tick and once more after drain so post-completion queries
-     * reconcile with the final manifest.
-     */
-    bool writeStatusFile(const std::string& statusJson);
-
-    // WorkQueue interface.
-    bool connect(std::string* err) override;
-    std::string specJson() override;
-    std::size_t totalJobs() override;
-    ClaimOutcome claim(const std::string& worker, JobLease* out) override;
-    bool renew(const JobLease& lease) override;
-    PushOutcome push(const JobLease& lease,
-                     const ManifestEntry& entry) override;
-    double noWorkRetrySec() override;
-
-  private:
-    struct Impl;
-    std::shared_ptr<Impl> impl;
-};
-
-// --- TCP backend -----------------------------------------------------------
-
-/** Worker-side TCP client. */
-class TcpWorkQueue : public WorkQueue
-{
-  public:
-    TcpWorkQueue(std::string host, int port, double rpcTimeoutSec);
-    ~TcpWorkQueue() override;
-
-    bool connect(std::string* err) override;
-    std::string specJson() override;
-    std::size_t totalJobs() override;
-    ClaimOutcome claim(const std::string& worker, JobLease* out) override;
-    bool renew(const JobLease& lease) override;
-    PushOutcome push(const JobLease& lease,
-                     const ManifestEntry& entry) override;
-    double noWorkRetrySec() override;
-
-  private:
-    struct Impl;
-    std::shared_ptr<Impl> impl;
-};
 
 /**
  * Coordinator-side TCP server: a single-threaded poll loop multiplexing

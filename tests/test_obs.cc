@@ -5,7 +5,7 @@
  * bucket/percentile edge cases, the structured event log's JSONL sink,
  * rate limiting and flush-on-error ring, the sweep STATUS JSON round
  * trip, the live status surface of a distributed sweep — including a
- * mid-sweep worker SIGKILL whose per-worker counters and final job
+ * mid-lease worker SIGKILL whose per-worker counters and final job
  * states must reconcile with the merged manifest — and the cycle-loop
  * self-profiler's attribution identity (phases sum to the measured loop
  * time) with byte-identical Reports whether profiling is on or off.
@@ -29,18 +29,16 @@
 #include "obs/profiler.h"
 #include "obs/status.h"
 #include "sim/manifest.h"
-#include "sim/procexec.h"
 #include "sim/runner.h"
 #include "sim/sweep.h"
 #include "sim/sweepd.h"
 #include "sim/workqueue.h"
 #include "stats/sink.h"
 #include "stats/tracefile.h"
+#include "sweepd_chaos.h"
 
-#ifndef _WIN32
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace udp {
 namespace {
@@ -49,11 +47,7 @@ std::string
 freshDir(const std::string& tag)
 {
     namespace fs = std::filesystem;
-#ifndef _WIN32
     std::string pid = std::to_string(::getpid());
-#else
-    std::string pid = "0";
-#endif
     fs::path p =
         fs::temp_directory_path() / ("udp_obs_test_" + tag + "_" + pid);
     fs::remove_all(p);
@@ -413,49 +407,25 @@ TEST(ObsStatus, TcpStatusAnswersMidSweep)
     }
 }
 
-#ifndef _WIN32
-
-pid_t
-forkWorker(const std::string& endpoint, const std::vector<SweepJob>& jobs,
-           const std::string& name, unsigned jobDelayMs)
-{
-    pid_t pid = ::fork();
-    if (pid != 0) {
-        return pid;
-    }
-    std::string err;
-    auto q = openWorkQueue(endpoint, 5.0, &err);
-    if (q == nullptr) {
-        ::_exit(2);
-    }
-    WorkerOptions wo;
-    wo.name = name;
-    wo.quiet = true;
-    wo.jobDelayMs = jobDelayMs;
-    WorkerSummary s = runSweepWorker(*q, jobs, wo);
-    ::_exit(s.queueLost ? 3 : 0);
-}
-
 /**
- * The acceptance scenario: an FS-transport sweep with one worker
- * SIGKILLed mid-job. After the drain, "<dir>/status.json" must
- * reconcile exactly with the merged manifest — every job Done, success
- * count matching, per-worker completions summing to the job count, and
- * the victim's lost lease visible as an expiration.
+ * The acceptance scenario: a sweep with one worker SIGKILLed while it
+ * holds a lease. The last STATUS answer, given in the coordinator's
+ * post-drain grace window, must reconcile exactly with the merged
+ * manifest — every job Done, success count matching, per-worker
+ * completions summing to the job count, and the victim's lost lease
+ * visible as a recovery. (The test name predates the single TCP
+ * transport and is kept so the suite's test IDs stay stable.)
  */
 TEST(ObsStatus, FsStatusAfterWorkerSigkillReconcilesWithManifest)
 {
-    if (!procIsolationSupported()) {
-        GTEST_SKIP() << "no fork() on this platform";
-    }
     std::vector<SweepJob> jobs = tinyJobs();
     std::string dir = freshDir("status_chaos");
     std::string manifestPath = dir + "/manifest.jsonl";
 
     CoordinatorOptions co;
-    co.name = "fs-chaos";
+    co.name = "chaos";
     co.policy = fastPolicy(); // 1 s lease TTL
-    co.endpoint = dir + "/q";
+    co.endpoint = "tcp:127.0.0.1:0";
     co.specJson = sweepSpecToJson(tinySpec());
     co.manifestPath = manifestPath;
     co.pollSec = 0.02;
@@ -464,15 +434,21 @@ TEST(ObsStatus, FsStatusAfterWorkerSigkillReconcilesWithManifest)
     std::string err;
     ASSERT_TRUE(coord.start(&err)) << err;
 
-    pid_t victim = forkWorker(coord.endpoint(), jobs, "victim", 10'000);
+    // Both workers fork before any thread starts. The victim stalls 10 s
+    // before every job, so it dies holding an unfinished lease.
+    pid_t victim = chaos::forkWorker(coord.endpoint(), jobs, "victim", 10'000);
     ASSERT_GT(victim, 0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    ASSERT_EQ(::kill(victim, SIGKILL), 0);
-
-    pid_t survivor = forkWorker(coord.endpoint(), jobs, "survivor", 0);
+    pid_t survivor = chaos::forkWorker(coord.endpoint(), jobs, "survivor", 100);
     ASSERT_GT(survivor, 0);
 
+    chaos::KillOnLease killer(coord.endpoint(), "victim", victim);
     std::vector<JobResult> results = coord.run();
+    killer.stop();
+    EXPECT_TRUE(killer.killedWhileLeased())
+        << "the victim must be killed while the board shows its lease";
+    if (!killer.killedWhileLeased()) {
+        ::kill(victim, SIGKILL);
+    }
     int status = 0;
     ASSERT_EQ(::waitpid(victim, &status, 0), victim);
     ASSERT_EQ(::waitpid(survivor, &status, 0), survivor);
@@ -481,13 +457,12 @@ TEST(ObsStatus, FsStatusAfterWorkerSigkillReconcilesWithManifest)
         ASSERT_TRUE(r.ok) << r.error.message;
     }
 
-    // Post-drain status file: the reconciliation surface.
-    std::string raw;
-    ASSERT_TRUE(queryQueueStatus(co.endpoint, 2.0, &raw, &err)) << err;
+    // Post-drain status: the reconciliation surface.
+    std::string raw = killer.lastStatus();
     obs::SweepStatus s;
     ASSERT_TRUE(obs::sweepStatusFromJson(raw, &s)) << raw;
-    EXPECT_EQ(s.name, "fs-chaos");
-    EXPECT_EQ(s.transport, "fs");
+    EXPECT_EQ(s.name, "chaos");
+    EXPECT_EQ(s.transport, "tcp");
     EXPECT_EQ(s.total, jobs.size());
     EXPECT_EQ(s.done, jobs.size());
     EXPECT_EQ(s.failed, 0u);
@@ -526,8 +501,6 @@ TEST(ObsStatus, FsStatusAfterWorkerSigkillReconcilesWithManifest)
     EXPECT_GE(recoveries, 1u)
         << "the victim's lost lease must surface in the worker counters";
 }
-
-#endif // !_WIN32
 
 // --- cycle-loop self-profiler ----------------------------------------------
 

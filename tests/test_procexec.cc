@@ -90,9 +90,6 @@ crashingJob(const std::string& name)
 
 TEST(Procexec, IsolatedReportMatchesInProcess)
 {
-    if (!procIsolationSupported()) {
-        GTEST_SKIP() << "no fork() on this platform";
-    }
     SweepJob job = cleanJob("isoident", 21);
     Report in_process =
         runSim(job.profile, job.config, job.opts, job.label);
@@ -107,9 +104,6 @@ TEST(Procexec, IsolatedReportMatchesInProcess)
 
 TEST(Procexec, ContainsRealSegv)
 {
-    if (!procIsolationSupported()) {
-        GTEST_SKIP() << "no fork() on this platform";
-    }
     if (procUnderSanitizer()) {
         GTEST_SKIP() << "sanitizers intercept SIGSEGV";
     }
@@ -126,9 +120,6 @@ TEST(Procexec, ContainsRealSegv)
 
 TEST(Procexec, CrashingJobDoesNotPoisonTheBatch)
 {
-    if (!procIsolationSupported()) {
-        GTEST_SKIP() << "no fork() on this platform";
-    }
     if (procUnderSanitizer()) {
         GTEST_SKIP() << "sanitizers intercept SIGSEGV";
     }
@@ -156,9 +147,6 @@ TEST(Procexec, CrashingJobDoesNotPoisonTheBatch)
 
 TEST(Procexec, MemLimitTurnsRunawayAllocationIntoMemLimit)
 {
-    if (!procIsolationSupported()) {
-        GTEST_SKIP() << "no fork() on this platform";
-    }
     if (procUnderSanitizer()) {
         GTEST_SKIP() << "RLIMIT_AS is not applied under sanitizers";
     }
@@ -179,9 +167,6 @@ TEST(Procexec, MemLimitTurnsRunawayAllocationIntoMemLimit)
 
 TEST(Procexec, WallDeadlineKillsAHungChild)
 {
-    if (!procIsolationSupported()) {
-        GTEST_SKIP() << "no fork() on this platform";
-    }
     // Retirement freezes and every watchdog is disabled: without the
     // parent-side deadline this child would spin forever.
     SweepJob j = cleanJob("walltest", 7);
@@ -202,9 +187,6 @@ TEST(Procexec, WallDeadlineKillsAHungChild)
 
 TEST(Procexec, SimErrorCrossesThePipeVerbatim)
 {
-    if (!procIsolationSupported()) {
-        GTEST_SKIP() << "no fork() on this platform";
-    }
     // A watchdog-detected hang inside the child must arrive as the same
     // structured error an in-process run produces.
     SweepJob j = cleanJob("relaytest", 8);

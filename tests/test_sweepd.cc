@@ -4,35 +4,45 @@
  * (sim/lease.h — expiry/reclaim, bounded retries with deterministic
  * backoff, straggler duplication with first-completion-wins, idempotent
  * completion), the sweep-spec round trip and its deterministic
- * expansion (sim/sweepd.h), both work-queue transports (sim/workqueue.h),
- * and the coordinator/worker integration: distributed runs — including
- * one with a worker SIGKILLed mid-job — produce Reports byte-identical
- * to a serial in-process run, and a restarted coordinator resumes from
- * its checkpoint manifest without re-running completed jobs.
+ * expansion (sim/sweepd.h), the TCP work queue (sim/workqueue.h: strict
+ * endpoint parsing, a seeded fuzz of malformed request frames), and the
+ * coordinator/worker integration: distributed runs — including one with
+ * a worker SIGKILLed mid-lease — produce Reports byte-identical to a
+ * serial in-process run, and a restarted coordinator resumes from its
+ * checkpoint manifest and from the shard file a worker flushed when its
+ * coordinator died, without re-running completed jobs.
  */
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "sim/lease.h"
 #include "sim/manifest.h"
-#include "sim/procexec.h"
 #include "sim/sweep.h"
 #include "sim/sweepd.h"
+#include "sim/wire.h"
 #include "sim/workqueue.h"
 #include "stats/sink.h"
-
-#ifndef _WIN32
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
+#include "sweepd_chaos.h"
 
 namespace udp {
 namespace {
@@ -43,11 +53,7 @@ std::string
 freshDir(const std::string& tag)
 {
     namespace fs = std::filesystem;
-#ifndef _WIN32
     std::string pid = std::to_string(::getpid());
-#else
-    std::string pid = "0";
-#endif
     fs::path p = fs::temp_directory_path() /
                  ("udp_sweepd_test_" + tag + "_" + pid);
     fs::remove_all(p);
@@ -411,125 +417,7 @@ TEST(SweepSpec, WorkloadsAllExpandsEveryDatacenterProfile)
     EXPECT_EQ(jobs.size(), datacenterProfiles().size() * s.configs.size());
 }
 
-// --- filesystem queue ------------------------------------------------------
-
-std::vector<ManifestEntry>
-skeletons(const std::vector<SweepJob>& jobs)
-{
-    std::vector<ManifestEntry> sk(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        sk[i].hash = sweepJobHash(jobs[i], i);
-        sk[i].index = i;
-        sk[i].workload = jobs[i].profile.name;
-        sk[i].label = jobs[i].label;
-    }
-    return sk;
-}
-
-TEST(FsWorkQueue, DuplicateCompletionIsIdempotent)
-{
-    std::string dir = freshDir("fsdup");
-    std::vector<SweepJob> jobs = tinyJobs();
-    FsWorkQueue q(dir, 5.0);
-    std::string err;
-    ASSERT_TRUE(
-        q.seed(skeletons(jobs), sweepSpecToJson(tinySpec()), fastPolicy(),
-               &err))
-        << err;
-    ASSERT_TRUE(q.connect(&err)) << err;
-    EXPECT_EQ(q.totalJobs(), jobs.size());
-
-    JobLease a;
-    ASSERT_EQ(q.claim("w1", &a), ClaimOutcome::Granted);
-    EXPECT_TRUE(q.renew(a));
-
-    ManifestEntry done;
-    done.hash = a.hash;
-    done.index = a.index;
-    done.workload = jobs[a.index].profile.name;
-    done.label = jobs[a.index].label;
-    done.ok = true;
-    done.reportJson = "{}";
-    EXPECT_EQ(q.push(a, done), PushOutcome::Recorded);
-    // The same result delivered again — a straggler, or a worker whose
-    // lease expired but finished anyway — is discarded, not re-recorded.
-    EXPECT_EQ(q.push(a, done), PushOutcome::Duplicate);
-    EXPECT_EQ(q.doneCount(), 1u);
-}
-
-TEST(FsWorkQueue, ReseedingResumesFromDoneEntries)
-{
-    std::string dir = freshDir("fsresume");
-    std::vector<SweepJob> jobs = tinyJobs();
-    std::vector<ManifestEntry> sk = skeletons(jobs);
-    std::string spec = sweepSpecToJson(tinySpec());
-    std::string err;
-
-    {
-        FsWorkQueue q(dir, 5.0);
-        ASSERT_TRUE(q.seed(sk, spec, fastPolicy(), &err)) << err;
-        JobLease a;
-        ASSERT_EQ(q.claim("w1", &a), ClaimOutcome::Granted);
-        ManifestEntry done = sk[a.index];
-        done.ok = true;
-        done.reportJson = "{}";
-        EXPECT_EQ(q.push(a, done), PushOutcome::Recorded);
-    }
-
-    // A restarted coordinator seeding the same directory keeps the
-    // recorded completion and only re-issues the rest.
-    FsWorkQueue q2(dir, 5.0);
-    ASSERT_TRUE(q2.seed(sk, spec, fastPolicy(), &err)) << err;
-    EXPECT_EQ(q2.doneCount(), 1u);
-    std::size_t granted = 0;
-    for (;;) {
-        JobLease l;
-        ClaimOutcome c = q2.claim("w2", &l);
-        if (c != ClaimOutcome::Granted) {
-            break;
-        }
-        ++granted;
-        ManifestEntry done = sk[l.index];
-        done.ok = true;
-        done.reportJson = "{}";
-        q2.push(l, done);
-    }
-    EXPECT_EQ(granted, jobs.size() - 1);
-    EXPECT_EQ(q2.doneCount(), jobs.size());
-    JobLease l;
-    EXPECT_EQ(q2.claim("w2", &l), ClaimOutcome::Drained);
-}
-
 // --- coordinator + worker integration --------------------------------------
-
-TEST(Sweepd, FsDistributedRunIsByteIdenticalToSerial)
-{
-    std::vector<SweepJob> jobs = tinyJobs();
-    std::vector<std::string> reference = serialReference(jobs);
-
-    CoordinatorOptions co;
-    co.policy = fastPolicy();
-    co.endpoint = freshDir("fsrun") + "/q";
-    co.specJson = sweepSpecToJson(tinySpec());
-    co.pollSec = 0.02;
-    co.quiet = true;
-    SweepCoordinator coord(jobs, co);
-    std::string err;
-    ASSERT_TRUE(coord.start(&err)) << err;
-
-    std::thread worker([&] {
-        std::string werr;
-        auto q = openWorkQueue(coord.endpoint(), 5.0, &werr);
-        ASSERT_NE(q, nullptr) << werr;
-        WorkerOptions wo;
-        wo.name = "t1";
-        wo.quiet = true;
-        runSweepWorker(*q, jobs, wo);
-    });
-    std::vector<JobResult> results = coord.run();
-    worker.join();
-    expectByteIdentical(jobs, results, reference);
-}
 
 TEST(Sweepd, TcpDistributedRunIsByteIdenticalToSerial)
 {
@@ -595,7 +483,7 @@ TEST(Sweepd, CoordinatorRestartResumesFromManifest)
     // issues the remaining two to its worker.
     CoordinatorOptions co;
     co.policy = fastPolicy();
-    co.endpoint = dir + "/q";
+    co.endpoint = "tcp:127.0.0.1:0";
     co.specJson = sweepSpecToJson(tinySpec());
     co.manifestPath = manifestPath;
     co.resume = true;
@@ -626,47 +514,21 @@ TEST(Sweepd, CoordinatorRestartResumesFromManifest)
     expectByteIdentical(jobs, results, reference);
 }
 
-#ifndef _WIN32
-
-/** Forks a worker process against @p endpoint; returns its pid. */
-pid_t
-forkWorker(const std::string& endpoint, const std::vector<SweepJob>& jobs,
-           const std::string& name, unsigned jobDelayMs)
-{
-    pid_t pid = ::fork();
-    if (pid != 0) {
-        return pid;
-    }
-    std::string err;
-    auto q = openWorkQueue(endpoint, 5.0, &err);
-    if (q == nullptr) {
-        ::_exit(2);
-    }
-    WorkerOptions wo;
-    wo.name = name;
-    wo.quiet = true;
-    wo.jobDelayMs = jobDelayMs;
-    WorkerSummary s = runSweepWorker(*q, jobs, wo);
-    ::_exit(s.queueLost ? 3 : 0);
-}
-
 /**
  * The acceptance scenario: a sweep distributed across two worker
- * processes, one SIGKILLed mid-job. The lease expires, the job is
- * reclaimed and retried, the sweep completes every job, and the merged
- * Reports are byte-identical to the serial in-process run.
+ * processes, one SIGKILLed while the coordinator's board shows it
+ * holding a lease. The lost lease is recovered (straggler re-dispatch or
+ * expiry reclaim), the sweep completes every job, and the merged Reports
+ * are byte-identical to the serial in-process run.
  */
 TEST(Sweepd, SigkilledWorkerIsReclaimedAndRunStaysByteIdentical)
 {
-    if (!procIsolationSupported()) {
-        GTEST_SKIP() << "no fork() on this platform";
-    }
     std::vector<SweepJob> jobs = tinyJobs();
     std::vector<std::string> reference = serialReference(jobs);
 
     CoordinatorOptions co;
     co.policy = fastPolicy(); // 1 s lease TTL
-    co.endpoint = freshDir("chaos") + "/q";
+    co.endpoint = "tcp:127.0.0.1:0";
     co.specJson = sweepSpecToJson(tinySpec());
     co.pollSec = 0.02;
     co.quiet = true;
@@ -674,17 +536,22 @@ TEST(Sweepd, SigkilledWorkerIsReclaimedAndRunStaysByteIdentical)
     std::string err;
     ASSERT_TRUE(coord.start(&err)) << err;
 
-    // The victim stalls 10 s before every job, so it dies holding an
-    // unfinished lease; the survivor runs normally.
-    pid_t victim = forkWorker(coord.endpoint(), jobs, "victim", 10'000);
+    // Both workers fork before any thread starts. The victim stalls 10 s
+    // before every job, so it dies holding an unfinished lease; the
+    // survivor runs normally.
+    pid_t victim = chaos::forkWorker(coord.endpoint(), jobs, "victim", 10'000);
     ASSERT_GT(victim, 0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    ASSERT_EQ(::kill(victim, SIGKILL), 0);
-
-    pid_t survivor = forkWorker(coord.endpoint(), jobs, "survivor", 0);
+    pid_t survivor = chaos::forkWorker(coord.endpoint(), jobs, "survivor", 100);
     ASSERT_GT(survivor, 0);
 
+    chaos::KillOnLease killer(coord.endpoint(), "victim", victim);
     std::vector<JobResult> results = coord.run();
+    killer.stop();
+    EXPECT_TRUE(killer.killedWhileLeased())
+        << "the victim must be killed while the board shows its lease";
+    if (!killer.killedWhileLeased()) {
+        ::kill(victim, SIGKILL);
+    }
 
     int status = 0;
     ASSERT_EQ(::waitpid(victim, &status, 0), victim);
@@ -697,7 +564,443 @@ TEST(Sweepd, SigkilledWorkerIsReclaimedAndRunStaysByteIdentical)
     expectByteIdentical(jobs, results, reference);
 }
 
-#endif // !_WIN32
+/**
+ * The recovery path from a dead coordinator: a worker that finishes its
+ * job after the coordinator went away flushes the result to its shard
+ * file, and a restarted coordinator absorbs it instead of re-running it.
+ */
+TEST(Sweepd, ShardFlushedAfterCoordinatorDeathIsAbsorbedOnRestart)
+{
+    std::vector<SweepJob> jobs = tinyJobs();
+    std::vector<std::string> reference = serialReference(jobs);
+    std::string dir = freshDir("shard");
+
+    CoordinatorOptions co;
+    co.policy = fastPolicy();
+    co.endpoint = "tcp:127.0.0.1:0";
+    co.specJson = sweepSpecToJson(tinySpec());
+    co.manifestPath = dir + "/manifest.jsonl";
+    co.shardDir = dir + "/shards";
+    co.pollSec = 0.02;
+    co.quiet = true;
+    std::string err;
+
+    // First coordinator: stopped while its only worker holds a lease.
+    WorkerSummary first;
+    {
+        SweepCoordinator coord(jobs, co);
+        ASSERT_TRUE(coord.start(&err)) << err;
+        std::string endpoint = coord.endpoint();
+        std::thread worker([&] {
+            std::string werr;
+            auto q = openWorkQueue(endpoint, 5.0, &werr);
+            ASSERT_NE(q, nullptr) << werr;
+            WorkerOptions wo;
+            wo.name = "w1";
+            wo.quiet = true;
+            wo.shardDir = co.shardDir;
+            wo.jobDelayMs = 1000; // still running when the coordinator dies
+            wo.maxJobs = 1;
+            first = runSweepWorker(*q, jobs, wo);
+        });
+        bool leased = false;
+        std::thread stopper([&] {
+            leased = chaos::waitForLease(endpoint, "w1", 30.0);
+            coord.requestStop();
+        });
+        std::vector<JobResult> results = coord.run(); // closes the server
+        stopper.join();
+        worker.join();
+        ASSERT_TRUE(leased) << "the worker never held a lease";
+        for (const JobResult& r : results) {
+            EXPECT_TRUE(r.skipped) << "nothing completed before the stop";
+        }
+    }
+    EXPECT_EQ(first.executed, 1u);
+    EXPECT_TRUE(first.queueLost);
+    EXPECT_EQ(first.flushedLocal, 1u)
+        << "the result must be flushed to the shard file";
+
+    // Restarted coordinator: same manifest and shard directory.
+    co.resume = true;
+    SweepCoordinator coord(jobs, co);
+    ASSERT_TRUE(coord.start(&err)) << err;
+    WorkerSummary second;
+    std::thread worker([&] {
+        std::string werr;
+        auto q = openWorkQueue(coord.endpoint(), 5.0, &werr);
+        ASSERT_NE(q, nullptr) << werr;
+        WorkerOptions wo;
+        wo.name = "w2";
+        wo.quiet = true;
+        second = runSweepWorker(*q, jobs, wo);
+    });
+    std::vector<JobResult> results = coord.run();
+    worker.join();
+
+    EXPECT_EQ(second.executed, jobs.size() - 1)
+        << "the absorbed job must not re-run";
+    expectByteIdentical(jobs, results, reference);
+}
+
+// --- TCP work queue: endpoints and wire frames -----------------------------
+
+TEST(QueueEndpoint, PortMustBeAFullDecimalInRange)
+{
+    struct Case
+    {
+        const char* endpoint;
+        bool coordinatorOk; ///< parse with port 0 allowed
+        bool workerOk;      ///< parse with port 0 refused
+        const char* host;
+        int port;
+    };
+    const Case cases[] = {
+        {"tcp:127.0.0.1:7777", true, true, "127.0.0.1", 7777},
+        {"tcp:7777", true, true, "127.0.0.1", 7777},
+        {"tcp:0.0.0.0:65535", true, true, "0.0.0.0", 65535},
+        {"tcp:127.0.0.1:0", true, false, "127.0.0.1", 0},
+        {"tcp:127.0.0.1:70000", false, false, "", 0},
+        {"tcp:127.0.0.1:65536", false, false, "", 0},
+        {"tcp:127.0.0.1:99999999999999999999", false, false, "", 0},
+        {"tcp:127.0.0.1:abc", false, false, "", 0},
+        {"tcp:127.0.0.1:7777junk", false, false, "", 0},
+        {"tcp:127.0.0.1:", false, false, "", 0},
+        {"tcp:127.0.0.1:-1", false, false, "", 0},
+        {"tcp:127.0.0.1:+80", false, false, "", 0},
+        {"tcp:127.0.0.1: 80", false, false, "", 0},
+        {"/shared/q", false, false, "", 0},
+        {"", false, false, "", 0},
+    };
+    for (const Case& c : cases) {
+        for (bool allowZero : {true, false}) {
+            bool want = allowZero ? c.coordinatorOk : c.workerOk;
+            QueueEndpoint ep;
+            std::string err;
+            EXPECT_EQ(parseQueueEndpoint(c.endpoint, allowZero, &ep, &err),
+                      want)
+                << c.endpoint << " allowZero=" << allowZero;
+            if (want) {
+                EXPECT_EQ(ep.host, c.host) << c.endpoint;
+                EXPECT_EQ(ep.port, c.port) << c.endpoint;
+            } else {
+                EXPECT_NE(err.find("tcp:HOST:PORT"), std::string::npos)
+                    << c.endpoint << ": " << err;
+            }
+        }
+        // Both sides refuse what their parser refuses, before any
+        // socket is opened.
+        std::string err;
+        if (!c.coordinatorOk) {
+            CoordinatorOptions co;
+            co.endpoint = c.endpoint;
+            co.quiet = true;
+            SweepCoordinator coord(tinyJobs(), co);
+            EXPECT_FALSE(coord.start(&err)) << c.endpoint;
+            EXPECT_NE(err.find("tcp:HOST:PORT"), std::string::npos) << err;
+        }
+        if (!c.workerOk) {
+            EXPECT_EQ(openWorkQueue(c.endpoint, 1.0, &err), nullptr)
+                << c.endpoint;
+            EXPECT_NE(err.find("tcp:HOST:PORT"), std::string::npos) << err;
+        }
+    }
+}
+
+/** A request's fields, decoded independently of the server by the
+ *  grammar documented in sim/workqueue.h. */
+struct DecodedRequest
+{
+    bool ok = false;
+    std::uint8_t op = 0;
+    std::string str; ///< HELLO/CLAIM worker
+    std::uint64_t token = 0;
+    std::string entryLine; ///< PUSH entry, re-serialized
+};
+
+DecodedRequest
+decodeRequest(const std::string& req)
+{
+    DecodedRequest d;
+    std::size_t pos = 0;
+    std::uint32_t magic = 0;
+    if (!wire::readU32(req, &pos, &magic) || magic != wire::kQueueMagic ||
+        pos >= req.size()) {
+        return d;
+    }
+    d.op = static_cast<std::uint8_t>(req[pos++]);
+    bool ok = false;
+    std::string json;
+    ManifestEntry entry;
+    switch (d.op) {
+    case wire::OpHello:
+    case wire::OpClaim:
+        ok = wire::readStr(req, &pos, &d.str);
+        break;
+    case wire::OpRenew:
+        ok = wire::readU64(req, &pos, &d.token);
+        break;
+    case wire::OpPush:
+        ok = wire::readU64(req, &pos, &d.token) &&
+             wire::readStr(req, &pos, &json) &&
+             manifestEntryFromJsonLine(json, &entry);
+        d.entryLine = ok ? manifestEntryToJsonLine(entry) : "";
+        break;
+    case wire::OpStatus:
+        ok = true;
+        break;
+    default:
+        break;
+    }
+    d.ok = ok && pos == req.size();
+    return d;
+}
+
+/** Blocking loopback client with a 5 s receive timeout; -1 on failure. */
+int
+connectLoopback(int port)
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) {
+        return -1;
+    }
+    struct timeval tv = {5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    struct sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+bool
+recvExact(int fd, std::size_t n, std::string* out)
+{
+    out->clear();
+    char buf[4096];
+    while (out->size() < n) {
+        ssize_t r = ::recv(fd, buf, std::min(sizeof(buf), n - out->size()),
+                           0);
+        if (r <= 0) {
+            return false;
+        }
+        out->append(buf, static_cast<std::size_t>(r));
+    }
+    return true;
+}
+
+/** Sends @p payload as one frame and reads one response frame; false
+ *  when the server hangs up. */
+bool
+exchange(int fd, const std::string& payload, std::string* resp)
+{
+    std::string frame;
+    wire::appendU32(&frame, static_cast<std::uint32_t>(payload.size()));
+    frame += payload;
+    if (::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(frame.size())) {
+        return false;
+    }
+    std::string hdr;
+    std::size_t pos = 0;
+    std::uint32_t n = 0;
+    return recvExact(fd, 4, &hdr) && wire::readU32(hdr, &pos, &n) &&
+           recvExact(fd, n, resp);
+}
+
+/**
+ * Seeded fuzz of the coordinator's request decoder over loopback: for
+ * every opcode, each truncation of a well-formed frame, frames padded
+ * with trailing bytes, and random bit flips. A frame the reference
+ * decoder rejects must be answered StUnknown without reaching a handler;
+ * one it accepts must reach exactly one handler with exactly the decoded
+ * fields. An oversized length prefix drops the connection, and a
+ * well-formed client is still served afterwards.
+ */
+TEST(TcpQueueServer, MalformedFramesNeverReachAHandler)
+{
+    struct Call
+    {
+        std::uint8_t op;
+        std::string str;
+        std::uint64_t token;
+        std::string entryLine;
+    };
+    std::mutex mtx;
+    std::vector<Call> calls;
+    auto record = [&](Call c) {
+        std::lock_guard<std::mutex> lock(mtx);
+        calls.push_back(std::move(c));
+    };
+    TcpQueueServer::Handlers h;
+    h.spec = [&] {
+        record({wire::OpHello, "", 0, ""});
+        return std::string("spec");
+    };
+    h.total = [] { return std::size_t{4}; };
+    h.retrySec = [] { return 0.02; };
+    h.status = [&] {
+        record({wire::OpStatus, "", 0, ""});
+        return std::string("{}");
+    };
+    h.claim = [&](const std::string& worker, JobLease* out) {
+        record({wire::OpClaim, worker, 0, ""});
+        out->hash = 0xabc;
+        out->index = 1;
+        out->token = 99;
+        return ClaimOutcome::Granted;
+    };
+    h.renew = [&](std::uint64_t token) {
+        record({wire::OpRenew, "", token, ""});
+        return true;
+    };
+    h.push = [&](std::uint64_t token, const ManifestEntry& e) {
+        record({wire::OpPush, "", token, manifestEntryToJsonLine(e)});
+        return LeaseTable::Push::RecordedFinal;
+    };
+    TcpQueueServer server;
+    std::string err;
+    ASSERT_TRUE(server.listen("127.0.0.1", 0, std::move(h), &err)) << err;
+    std::atomic<bool> stop{false};
+    std::thread pump([&] {
+        while (!stop.load()) {
+            server.poll(0.01);
+        }
+    });
+    struct Joiner
+    {
+        std::atomic<bool>& stop;
+        std::thread& pump;
+        ~Joiner()
+        {
+            stop.store(true);
+            pump.join();
+        }
+    } joiner{stop, pump}; // joins on every exit path, ASSERTs included
+
+    auto request = [](std::uint8_t op) {
+        std::string r;
+        wire::appendU32(&r, wire::kQueueMagic);
+        r.push_back(static_cast<char>(op));
+        return r;
+    };
+    ManifestEntry entry;
+    entry.hash = 0x1234;
+    entry.index = 2;
+    entry.workload = "mediawiki";
+    entry.label = "fdip32";
+    entry.worker = "fuzzer";
+    entry.ok = true;
+    entry.reportJson = "{}";
+    std::vector<std::string> valid;
+    valid.push_back(request(wire::OpHello));
+    wire::appendStr(&valid.back(), "fuzzer");
+    valid.push_back(request(wire::OpClaim));
+    wire::appendStr(&valid.back(), "fuzzer");
+    valid.push_back(request(wire::OpRenew));
+    wire::appendU64(&valid.back(), 42);
+    valid.push_back(request(wire::OpPush));
+    wire::appendU64(&valid.back(), 7);
+    wire::appendStr(&valid.back(), manifestEntryToJsonLine(entry));
+    valid.push_back(request(wire::OpStatus));
+
+    std::mt19937_64 rng(20240618);
+    std::vector<std::string> frames;
+    for (const std::string& v : valid) {
+        for (std::size_t n = 0; n <= v.size(); ++n) {
+            frames.push_back(v.substr(0, n));
+        }
+        for (std::size_t extra = 1; extra <= 3; ++extra) {
+            frames.push_back(v + std::string(extra, '\x5a'));
+        }
+        for (int k = 0; k < 100; ++k) {
+            std::string f = v;
+            int flips = 1 + static_cast<int>(rng() % 3);
+            for (int b = 0; b < flips; ++b) {
+                std::size_t bit = rng() % (f.size() * 8);
+                f[bit / 8] = static_cast<char>(f[bit / 8] ^ (1 << (bit % 8)));
+            }
+            frames.push_back(std::move(f));
+        }
+    }
+    // The defect this guards against: CLAIM with no worker string.
+    std::string bareClaim = request(wire::OpClaim);
+    ASSERT_EQ(bareClaim.size(), 5u);
+    EXPECT_FALSE(decodeRequest(bareClaim).ok);
+
+    int fd = connectLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    std::size_t accepted = 0;
+    for (const std::string& f : frames) {
+        DecodedRequest want = decodeRequest(f);
+        std::size_t before;
+        {
+            std::lock_guard<std::mutex> lock(mtx);
+            before = calls.size();
+        }
+        std::string resp;
+        ASSERT_TRUE(exchange(fd, f, &resp))
+            << "server dropped a well-framed request";
+        std::size_t pos = 0;
+        std::uint32_t magic = 0;
+        ASSERT_TRUE(wire::readU32(resp, &pos, &magic));
+        ASSERT_EQ(magic, wire::kQueueMagic);
+        ASSERT_LT(pos, resp.size());
+        std::uint8_t st = static_cast<std::uint8_t>(resp[pos]);
+        std::lock_guard<std::mutex> lock(mtx);
+        if (!want.ok) {
+            EXPECT_EQ(st, wire::StUnknown) << "frame of " << f.size() << " B";
+            EXPECT_EQ(calls.size(), before)
+                << "a malformed frame reached a handler";
+            continue;
+        }
+        ++accepted;
+        EXPECT_EQ(st, wire::StGranted);
+        ASSERT_EQ(calls.size(), before + 1);
+        const Call& c = calls.back();
+        EXPECT_EQ(c.op, want.op);
+        if (want.op == wire::OpClaim) {
+            EXPECT_EQ(c.str, want.str);
+        }
+        if (want.op == wire::OpRenew || want.op == wire::OpPush) {
+            EXPECT_EQ(c.token, want.token);
+        }
+        EXPECT_EQ(c.entryLine, want.entryLine);
+    }
+    // Each valid frame (and any flip that stays well-formed) got through.
+    EXPECT_GE(accepted, valid.size());
+
+    // An absurd length prefix is a protocol error: the server hangs up
+    // (EOF or reset, not the receive timeout).
+    std::string hdr;
+    wire::appendU32(&hdr, wire::kMaxFrameBytes + 1);
+    ASSERT_EQ(::send(fd, hdr.data(), hdr.size(), MSG_NOSIGNAL), 4);
+    char byte = 0;
+    ssize_t got = ::recv(fd, &byte, 1, 0);
+    EXPECT_TRUE(got == 0 || (got < 0 && errno == ECONNRESET))
+        << "recv returned " << got << ", errno " << errno;
+    ::close(fd);
+
+    // A well-formed client is still served.
+    std::string endpoint = "tcp:127.0.0.1:" + std::to_string(server.port());
+    auto q = openWorkQueue(endpoint, 5.0, &err);
+    ASSERT_NE(q, nullptr) << err;
+    EXPECT_EQ(q->specJson(), "spec");
+    EXPECT_EQ(q->totalJobs(), 4u);
+    JobLease lease;
+    ASSERT_EQ(q->claim("after-fuzz", &lease), ClaimOutcome::Granted);
+    EXPECT_EQ(lease.token, 99u);
+    EXPECT_EQ(lease.index, 1u);
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        EXPECT_EQ(calls.back().str, "after-fuzz");
+    }
+}
 
 } // namespace
 } // namespace udp

@@ -2,13 +2,14 @@
  * @file
  * udp_sweepd — the distributed sweep coordinator (docs/ROBUSTNESS.md
  * §10). Reads a JSON sweep spec, expands it deterministically into jobs,
- * and serves them to udp_worker processes over TCP or a shared queue
- * directory with lease-based retry/backoff, straggler re-dispatch, and
- * checkpoint/resume. Merged artifacts are byte-identical to running the
- * same spec with --serial in one process.
+ * and serves them to udp_worker processes over TCP with lease-based
+ * retry/backoff, straggler re-dispatch, and checkpoint/resume. Merged
+ * artifacts are byte-identical to running the same spec with --serial in
+ * one process.
  *
  *   udp_sweepd --spec fig13.json --listen tcp:0.0.0.0:7777 --json out.jsonl
- *   udp_sweepd --spec fig13.json --queue /shared/q --workers 3 --csv out.csv
+ *   udp_sweepd --spec fig13.json --listen tcp:127.0.0.1:0 --workers 3 \
+ *       --csv out.csv
  *   udp_sweepd --spec fig13.json --serial --json ref.jsonl
  */
 
@@ -21,10 +22,8 @@
 #include <string>
 #include <vector>
 
-#ifndef _WIN32
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include "obs/eventlog.h"
 #include "sim/sweep.h"
@@ -52,8 +51,7 @@ usage(const char* argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s --spec FILE (--listen tcp:HOST:PORT | --queue DIR | "
-        "--serial)\n"
+        "usage: %s --spec FILE (--listen tcp:HOST:PORT | --serial)\n"
         "  [--name S] [--json PATH] [--csv PATH] [--manifest PATH] "
         "[--resume]\n"
         "  [--shard-dir DIR] [--workers N] [--lease-sec X] "
@@ -83,7 +81,7 @@ struct Args
 {
     std::string specPath;
     std::string name;     ///< status-surface name (default: spec name)
-    std::string endpoint; ///< --listen or --queue
+    std::string endpoint; ///< --listen
     bool serial = false;
     std::string jsonPath;
     std::string csvPath;
@@ -150,7 +148,6 @@ writeArtifacts(const Args& a, const std::vector<SweepJob>& jobs,
     return 0;
 }
 
-#ifndef _WIN32
 /** Forks one local worker draining @p endpoint; never returns in the
  *  child. The child re-expands the spec it is handed — the same
  *  determinism contract as a remote udp_worker. */
@@ -177,7 +174,6 @@ forkWorker(const Args& a, const std::string& endpoint,
     WorkerSummary s = runSweepWorker(*q, jobs, wo);
     ::_exit(s.queueLost ? 3 : 0);
 }
-#endif
 
 } // namespace
 
@@ -194,7 +190,7 @@ main(int argc, char** argv)
             a.specPath = val();
         } else if (arg == "--name") {
             a.name = val();
-        } else if (arg == "--listen" || arg == "--queue") {
+        } else if (arg == "--listen") {
             a.endpoint = val();
         } else if (arg == "--serial") {
             a.serial = true;
@@ -311,7 +307,6 @@ main(int argc, char** argv)
     std::signal(SIGINT, stopHandler);
     std::signal(SIGTERM, stopHandler);
 
-#ifndef _WIN32
     std::vector<pid_t> children;
     for (unsigned w = 0; w < a.workers; ++w) {
         pid_t pid = forkWorker(a, coord.endpoint(), jobs, w);
@@ -319,22 +314,13 @@ main(int argc, char** argv)
             children.push_back(pid);
         }
     }
-#else
-    if (a.workers != 0) {
-        std::fprintf(stderr,
-                     "[sweepd] --workers requires POSIX fork(); start "
-                     "udp_worker processes manually\n");
-    }
-#endif
 
     std::vector<JobResult> results = coord.run();
     g_coordinator = nullptr;
 
-#ifndef _WIN32
     for (pid_t pid : children) {
         int status = 0;
         ::waitpid(pid, &status, 0);
     }
-#endif
     return writeArtifacts(a, jobs, results);
 }

@@ -1,15 +1,15 @@
 /**
  * @file
  * udp_top — live fleet dashboard for a distributed sweep
- * (docs/OBSERVABILITY.md). Polls the coordinator's status surface — an
- * OpStatus RPC for "tcp:HOST:PORT" endpoints, "<dir>/status.json" for
- * shared-queue directories — and renders sweep progress, ETA, per-job
- * states and per-worker health (leases, retries, stragglers, heartbeats).
+ * (docs/OBSERVABILITY.md). Polls the coordinator's status surface — one
+ * OpStatus RPC to its "tcp:HOST:PORT" endpoint — and renders sweep
+ * progress, ETA, per-job states and per-worker health (leases, retries,
+ * stragglers, heartbeats).
  *
  *   udp_top tcp:127.0.0.1:7777              # refreshing dashboard
- *   udp_top /shared/q --interval 1
+ *   udp_top tcp:127.0.0.1:7777 --interval 1
  *   udp_top tcp:127.0.0.1:7777 --once       # one snapshot, human form
- *   udp_top /shared/q --once --json         # one raw status JSON line
+ *   udp_top tcp:127.0.0.1:7777 --once --json  # one raw status JSON line
  *
  * Exit codes: 0 snapshot fetched (or dashboard interrupted), 1 status
  * unavailable in --once mode, 2 usage error.
@@ -44,7 +44,7 @@ usage(const char* argv0)
     std::fprintf(stderr,
                  "usage: %s ENDPOINT [--interval SEC] [--timeout SEC] "
                  "[--once] [--json]\n"
-                 "  ENDPOINT: tcp:HOST:PORT or a queue directory\n",
+                 "  ENDPOINT: tcp:HOST:PORT\n",
                  argv0);
 }
 
@@ -171,6 +171,12 @@ main(int argc, char** argv)
     }
     if (endpoint.empty()) {
         usage(argv[0]);
+        return 2;
+    }
+    QueueEndpoint ep;
+    std::string epErr;
+    if (!parseQueueEndpoint(endpoint, false, &ep, &epErr)) {
+        std::fprintf(stderr, "[udp_top] %s\n", epErr.c_str());
         return 2;
     }
     if (intervalSec < 0.1) {

@@ -1,13 +1,13 @@
 /**
  * @file
  * udp_worker — one worker of a distributed sweep (docs/ROBUSTNESS.md
- * §10). Connects to a udp_sweepd coordinator (TCP endpoint or shared
- * queue directory), fetches the sweep spec, expands it deterministically
- * into the same job list the coordinator holds, then claims and executes
- * leases until the sweep drains.
+ * §10). Connects to a udp_sweepd coordinator over TCP, fetches the sweep
+ * spec, expands it deterministically into the same job list the
+ * coordinator holds, then claims and executes leases until the sweep
+ * drains.
  *
  *   udp_worker --connect tcp:coordinator-host:7777
- *   udp_worker --queue /shared/q --isolate --mem-mb 4096
+ *   udp_worker --connect tcp:10.0.0.5:7777 --isolate --mem-mb 4096
  *
  * Exit codes: 0 sweep drained / nothing left, 2 cannot reach or parse
  * the queue, 3 queue lost mid-run (pending result flushed to the shard
@@ -35,7 +35,7 @@ usage(const char* argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s (--connect tcp:HOST:PORT | --queue DIR) [--name S]\n"
+        "usage: %s --connect tcp:HOST:PORT [--name S]\n"
         "  [--shard-dir DIR] [--isolate] [--mem-mb N] [--cpu-sec N]\n"
         "  [--wall-sec X] [--poll-ms N] [--max-jobs N] [--delay-ms N] "
         "[--quiet]\n",
@@ -54,7 +54,7 @@ main(int argc, char** argv)
         auto val = [&]() -> const char* {
             return i + 1 < argc ? argv[++i] : "";
         };
-        if (arg == "--connect" || arg == "--queue") {
+        if (arg == "--connect") {
             endpoint = val();
         } else if (arg == "--name") {
             wo.name = val();
