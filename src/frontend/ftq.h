@@ -13,7 +13,6 @@
 #include <deque>
 #include <string>
 
-#include "common/histogram.h"
 #include "common/types.h"
 #include "workload/isa.h"
 
@@ -64,7 +63,17 @@ struct FtqStats
     std::uint64_t pushes = 0;
     std::uint64_t fullStalls = 0;
     std::uint64_t flushes = 0;
-    Histogram occupancy{257};
+    /** Per-cycle occupancy samples and their sum. */
+    std::uint64_t occupancySamples = 0;
+    std::uint64_t occupancySum = 0;
+
+    double
+    avgOccupancy() const
+    {
+        return occupancySamples == 0
+                   ? 0.0
+                   : static_cast<double>(occupancySum) / occupancySamples;
+    }
 };
 
 /** The fetch target queue. */
@@ -108,7 +117,12 @@ class Ftq
     void flush();
 
     /** Records the occupancy sample for this cycle. */
-    void sampleOccupancy() { stats_.occupancy.sample(q.size()); }
+    void
+    sampleOccupancy()
+    {
+        stats_.occupancySum += q.size();
+        ++stats_.occupancySamples;
+    }
 
     void noteFullStall() { ++stats_.fullStalls; }
 

@@ -1,6 +1,5 @@
 #include "obs/status.h"
 
-#include <charconv>
 #include <cstddef>
 
 #include "stats/sink.h"
@@ -8,138 +7,6 @@
 namespace udp::obs {
 
 namespace {
-
-// Minimal JSON scanning for our own writer's output: enough structure
-// awareness (strings, nesting) to slice values out of one flat object
-// with one nested array and one nested object.
-
-/** Advances past the string whose opening quote is at s[pos]. */
-bool
-skipString(const std::string& s, std::size_t* pos)
-{
-    if (*pos >= s.size() || s[*pos] != '"') {
-        return false;
-    }
-    ++*pos;
-    while (*pos < s.size() && s[*pos] != '"') {
-        if (s[*pos] == '\\') {
-            ++*pos;
-        }
-        ++*pos;
-    }
-    if (*pos >= s.size()) {
-        return false;
-    }
-    ++*pos;
-    return true;
-}
-
-/**
- * Returns the [start, end) span of the value for @p key inside the
- * object spanning [from, to) of @p s, or false when absent. The span of
- * a container value includes its brackets.
- */
-bool
-valueSpan(const std::string& s, std::size_t from, std::size_t to,
-          const std::string& key, std::size_t* start, std::size_t* end)
-{
-    const std::string needle = "\"" + key + "\":";
-    int depth = 0;
-    std::size_t pos = from;
-    while (pos < to) {
-        char c = s[pos];
-        if (c == '"') {
-            // Only match keys at depth 1 (direct members of the object).
-            if (depth == 1 && s.compare(pos, needle.size(), needle) == 0) {
-                std::size_t v = pos + needle.size();
-                std::size_t e = v;
-                if (v < to && (s[v] == '{' || s[v] == '[')) {
-                    char open = s[v];
-                    char close = open == '{' ? '}' : ']';
-                    int d = 0;
-                    e = v;
-                    while (e < to) {
-                        if (s[e] == '"') {
-                            if (!skipString(s, &e)) {
-                                return false;
-                            }
-                            continue;
-                        }
-                        if (s[e] == open) {
-                            ++d;
-                        } else if (s[e] == close && --d == 0) {
-                            ++e;
-                            break;
-                        }
-                        ++e;
-                    }
-                } else if (v < to && s[v] == '"') {
-                    e = v;
-                    if (!skipString(s, &e)) {
-                        return false;
-                    }
-                } else {
-                    while (e < to && s[e] != ',' && s[e] != '}' &&
-                           s[e] != ']') {
-                        ++e;
-                    }
-                }
-                *start = v;
-                *end = e;
-                return true;
-            }
-            if (!skipString(s, &pos)) {
-                return false;
-            }
-            continue;
-        }
-        if (c == '{' || c == '[') {
-            ++depth;
-        } else if (c == '}' || c == ']') {
-            --depth;
-        }
-        ++pos;
-    }
-    return false;
-}
-
-bool
-getString(const std::string& s, std::size_t from, std::size_t to,
-          const std::string& key, std::string* out)
-{
-    std::size_t v = 0;
-    std::size_t e = 0;
-    if (!valueSpan(s, from, to, key, &v, &e) || e - v < 2 || s[v] != '"') {
-        return false;
-    }
-    return jsonUnescape(s.substr(v + 1, e - v - 2), out);
-}
-
-bool
-getU64(const std::string& s, std::size_t from, std::size_t to,
-       const std::string& key, std::uint64_t* out)
-{
-    std::size_t v = 0;
-    std::size_t e = 0;
-    if (!valueSpan(s, from, to, key, &v, &e)) {
-        return false;
-    }
-    auto res = std::from_chars(s.data() + v, s.data() + e, *out);
-    return res.ec == std::errc{} && res.ptr == s.data() + e;
-}
-
-bool
-getF64(const std::string& s, std::size_t from, std::size_t to,
-       const std::string& key, double* out)
-{
-    std::size_t v = 0;
-    std::size_t e = 0;
-    if (!valueSpan(s, from, to, key, &v, &e)) {
-        return false;
-    }
-    auto res = std::from_chars(s.data() + v, s.data() + e, *out);
-    return res.ec == std::errc{} && res.ptr == s.data() + e;
-}
 
 std::string
 workerRowJson(const WorkerStatusRow& w)
@@ -157,22 +24,16 @@ workerRowJson(const WorkerStatusRow& w)
 }
 
 bool
-parseWorkerRow(const std::string& s, std::size_t from, std::size_t to,
-               WorkerStatusRow* w)
+parseWorkerRow(const JsonValue& v, WorkerStatusRow* w)
 {
-    if (!getString(s, from, to, "name", &w->name)) {
-        return false;
-    }
-    bool ok = getU64(s, from, to, "active", &w->activeLeases);
-    ok = getU64(s, from, to, "claims", &w->claims) && ok;
-    ok = getU64(s, from, to, "completed", &w->completed) && ok;
-    ok = getU64(s, from, to, "failed", &w->failed) && ok;
-    ok = getU64(s, from, to, "retries", &w->retries) && ok;
-    ok = getU64(s, from, to, "stragglers", &w->stragglers) && ok;
-    ok = getU64(s, from, to, "renewals", &w->renewals) && ok;
-    ok = getU64(s, from, to, "expirations", &w->expirations) && ok;
-    ok = getF64(s, from, to, "last_seen_sec", &w->lastSeenSec) && ok;
-    return ok;
+    return v.get("name", &w->name) && v.get("active", &w->activeLeases) &&
+           v.get("claims", &w->claims) &&
+           v.get("completed", &w->completed) &&
+           v.get("failed", &w->failed) && v.get("retries", &w->retries) &&
+           v.get("stragglers", &w->stragglers) &&
+           v.get("renewals", &w->renewals) &&
+           v.get("expirations", &w->expirations) &&
+           v.get("last_seen_sec", &w->lastSeenSec);
 }
 
 } // namespace
@@ -209,70 +70,35 @@ sweepStatusToJson(const SweepStatus& s)
 bool
 sweepStatusFromJson(const std::string& json, SweepStatus* out)
 {
+    JsonValue root;
     SweepStatus s;
-    std::size_t from = 0;
-    std::size_t to = json.size();
     std::string kind;
-    if (!getString(json, from, to, "status", &kind) || kind != "sweep") {
+    if (!parseJson(json, &root) || !root.get("status", &kind) ||
+        kind != "sweep" || !root.get("name", &s.name) ||
+        !root.get("transport", &s.transport) ||
+        !root.get("ts_ms", &s.tsMs) || !root.get("total", &s.total) ||
+        !root.get("done", &s.done) || !root.get("failed", &s.failed) ||
+        !root.get("resumed", &s.resumed) ||
+        !root.get("pending", &s.pending) || !root.get("leased", &s.leased) ||
+        !root.get("elapsed_sec", &s.elapsedSec) ||
+        !root.get("eta_sec", &s.etaSec) ||
+        !root.get("job_states", &s.jobStates)) {
         return false;
     }
-    if (!getString(json, from, to, "name", &s.name) ||
-        !getString(json, from, to, "transport", &s.transport) ||
-        !getU64(json, from, to, "ts_ms", &s.tsMs) ||
-        !getU64(json, from, to, "total", &s.total) ||
-        !getU64(json, from, to, "done", &s.done) ||
-        !getU64(json, from, to, "failed", &s.failed) ||
-        !getU64(json, from, to, "resumed", &s.resumed) ||
-        !getU64(json, from, to, "pending", &s.pending) ||
-        !getU64(json, from, to, "leased", &s.leased) ||
-        !getF64(json, from, to, "elapsed_sec", &s.elapsedSec) ||
-        !getF64(json, from, to, "eta_sec", &s.etaSec) ||
-        !getString(json, from, to, "job_states", &s.jobStates)) {
+    const JsonValue* workers = root.find("workers");
+    if (!workers || !workers->isArray()) {
         return false;
     }
-    std::size_t wv = 0;
-    std::size_t we = 0;
-    if (!valueSpan(json, from, to, "workers", &wv, &we) || json[wv] != '[') {
-        return false;
-    }
-    // Walk the array: each element is one object at depth 1 inside it.
-    std::size_t pos = wv + 1;
-    while (pos < we) {
-        if (json[pos] == '{') {
-            std::size_t objEnd = pos;
-            int d = 0;
-            while (objEnd < we) {
-                if (json[objEnd] == '"') {
-                    if (!skipString(json, &objEnd)) {
-                        return false;
-                    }
-                    continue;
-                }
-                if (json[objEnd] == '{') {
-                    ++d;
-                } else if (json[objEnd] == '}' && --d == 0) {
-                    ++objEnd;
-                    break;
-                }
-                ++objEnd;
-            }
-            WorkerStatusRow w;
-            if (!parseWorkerRow(json, pos, objEnd, &w)) {
-                return false;
-            }
-            s.workers.push_back(std::move(w));
-            pos = objEnd;
-        } else {
-            ++pos;
+    for (const JsonValue& row : workers->items) {
+        WorkerStatusRow w;
+        if (!parseWorkerRow(row, &w)) {
+            return false;
         }
+        s.workers.push_back(std::move(w));
     }
-    std::size_t mv = 0;
-    std::size_t me = 0;
-    if (valueSpan(json, from, to, "metrics", &mv, &me)) {
-        s.metricsJson = json.substr(mv, me - mv);
-    } else {
-        s.metricsJson = "{}";
-    }
+    // Opaque to this parser: kept as the raw JSON text.
+    const JsonValue* metrics = root.find("metrics");
+    s.metricsJson = metrics ? std::string(metrics->raw) : "{}";
     *out = std::move(s);
     return true;
 }

@@ -80,53 +80,6 @@ hexTo(const std::string& s, std::uint64_t* out)
     return true;
 }
 
-/** Extracts the next "key":"string value" field; minimal, order-aware. */
-bool
-extractString(const std::string& line, const std::string& key,
-              std::string* out)
-{
-    std::string needle = "\"" + key + "\":\"";
-    std::size_t pos = line.find(needle);
-    if (pos == std::string::npos) {
-        return false;
-    }
-    pos += needle.size();
-    std::string raw;
-    while (pos < line.size() && line[pos] != '"') {
-        if (line[pos] == '\\' && pos + 1 < line.size()) {
-            raw += line[pos++];
-        }
-        raw += line[pos++];
-    }
-    if (pos >= line.size()) {
-        return false;
-    }
-    return jsonUnescape(raw, out);
-}
-
-bool
-extractU64(const std::string& line, const std::string& key,
-           std::uint64_t* out)
-{
-    std::string needle = "\"" + key + "\":";
-    std::size_t pos = line.find(needle);
-    if (pos == std::string::npos) {
-        return false;
-    }
-    pos += needle.size();
-    std::uint64_t v = 0;
-    bool any = false;
-    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-        v = v * 10 + static_cast<std::uint64_t>(line[pos++] - '0');
-        any = true;
-    }
-    if (!any) {
-        return false;
-    }
-    *out = v;
-    return true;
-}
-
 } // namespace
 
 std::uint64_t
@@ -191,8 +144,6 @@ manifestEntryToJsonLine(const ManifestEntry& e)
         out += ",\"worker\":\"" + jsonEscape(e.worker) + "\"";
     }
     if (e.ok) {
-        // "report" is by construction the last key: the loader slices it
-        // from the first '{' after it to the line's final '}'.
         out += ",\"status\":\"ok\",\"report\":" + e.reportJson;
     } else {
         out += ",\"status\":\"failed\",\"error_kind\":\"" +
@@ -205,42 +156,32 @@ manifestEntryToJsonLine(const ManifestEntry& e)
 bool
 manifestEntryFromJsonLine(const std::string& line, ManifestEntry* out)
 {
-    if (line.empty() || line.front() != '{' || line.back() != '}') {
-        return false;
-    }
+    JsonValue root;
     ManifestEntry e;
-    std::string hash_hex;
+    std::string hashHex;
     std::string status;
     std::uint64_t index = 0;
-    if (!extractString(line, "hash", &hash_hex) ||
-        !hexTo(hash_hex, &e.hash) || !extractU64(line, "index", &index) ||
-        !extractString(line, "workload", &e.workload) ||
-        !extractString(line, "config", &e.label) ||
-        !extractString(line, "status", &status)) {
+    if (!parseJson(line, &root) || !root.get("hash", &hashHex) ||
+        !hexTo(hashHex, &e.hash) || !root.get("index", &index) ||
+        !root.get("workload", &e.workload) ||
+        !root.get("config", &e.label) || !root.get("status", &status)) {
         return false;
     }
     e.index = index;
-    extractString(line, "worker", &e.worker); // optional field
+    if (!root.getOptional("worker", &e.worker)) {
+        return false;
+    }
     if (status == "ok") {
-        const std::string needle = "\"report\":";
-        std::size_t pos = line.find(needle);
-        if (pos == std::string::npos) {
+        // Passed through verbatim: manifestEntryIsConsistent() checks
+        // that it re-serializes byte for byte.
+        const JsonValue* report = root.find("report");
+        if (!report || !report->isObject()) {
             return false;
         }
-        pos += needle.size();
-        if (pos >= line.size() || line[pos] != '{') {
-            return false;
-        }
-        // The entry's own closing brace is the line's last byte.
-        e.reportJson = line.substr(pos, line.size() - 1 - pos);
-        if (e.reportJson.empty() || e.reportJson.back() != '}') {
-            return false;
-        }
+        e.reportJson = report->raw;
         e.ok = true;
-    } else if (status == "failed") {
-        extractString(line, "error_kind", &e.errorKind);
-        e.ok = false;
-    } else {
+    } else if (status != "failed" ||
+               !root.getOptional("error_kind", &e.errorKind)) {
         return false;
     }
     *out = std::move(e);

@@ -104,7 +104,7 @@ collectReport(const Cpu& cpu, std::string workload, std::string config_name)
     double useless_hw = static_cast<double>(l1i.prefetchUnused);
     r.usefulnessHw = ratio(useful_hw, useful_hw + useless_hw);
 
-    r.avgFtqOccupancy = cpu.ftq().stats().occupancy.mean();
+    r.avgFtqOccupancy = cpu.ftq().stats().avgOccupancy();
     r.branchMpki = ratio(static_cast<double>(bp.condMispredicts), kilo);
     r.condMispredictRate =
         ratio(static_cast<double>(bp.condMispredicts),

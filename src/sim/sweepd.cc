@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -44,160 +44,6 @@ void
 sleepSec(double sec)
 {
     std::this_thread::sleep_for(std::chrono::duration<double>(sec));
-}
-
-// --- minimal JSON scanning (spec files only) -------------------------------
-
-/**
- * Position just past "key": (whitespace around the colon tolerated —
- * spec files are hand-written), or npos.
- */
-std::size_t
-specValuePos(const std::string& json, const std::string& key)
-{
-    std::string needle = "\"" + key + "\"";
-    std::size_t pos = json.find(needle);
-    if (pos == std::string::npos) {
-        return std::string::npos;
-    }
-    pos += needle.size();
-    while (pos < json.size() && std::isspace(
-                                    static_cast<unsigned char>(json[pos]))) {
-        ++pos;
-    }
-    if (pos >= json.size() || json[pos] != ':') {
-        return std::string::npos;
-    }
-    ++pos;
-    while (pos < json.size() && std::isspace(
-                                    static_cast<unsigned char>(json[pos]))) {
-        ++pos;
-    }
-    return pos;
-}
-
-/** Extracts "key":"string" (order-free; escapes honored). */
-bool
-specString(const std::string& json, const std::string& key, std::string* out)
-{
-    std::size_t pos = specValuePos(json, key);
-    if (pos == std::string::npos || pos >= json.size() ||
-        json[pos] != '"') {
-        return false;
-    }
-    ++pos;
-    std::string raw;
-    while (pos < json.size() && json[pos] != '"') {
-        if (json[pos] == '\\' && pos + 1 < json.size()) {
-            raw += json[pos++];
-        }
-        raw += json[pos++];
-    }
-    if (pos >= json.size()) {
-        return false;
-    }
-    return jsonUnescape(raw, out);
-}
-
-bool
-specU64(const std::string& json, const std::string& key, std::uint64_t* out)
-{
-    std::size_t pos = specValuePos(json, key);
-    if (pos == std::string::npos) {
-        return false;
-    }
-    std::uint64_t v = 0;
-    bool any = false;
-    while (pos < json.size() && json[pos] >= '0' && json[pos] <= '9') {
-        v = v * 10 + static_cast<std::uint64_t>(json[pos++] - '0');
-        any = true;
-    }
-    if (!any) {
-        return false;
-    }
-    *out = v;
-    return true;
-}
-
-/** Extracts the body of "key":[ ... ] with bracket/string awareness. */
-bool
-specArray(const std::string& json, const std::string& key, std::string* out)
-{
-    std::size_t pos = specValuePos(json, key);
-    if (pos == std::string::npos || pos >= json.size() ||
-        json[pos] != '[') {
-        return false;
-    }
-    ++pos;
-    int depth = 1;
-    bool inStr = false;
-    std::size_t start = pos;
-    while (pos < json.size()) {
-        char c = json[pos];
-        if (inStr) {
-            if (c == '\\') {
-                ++pos;
-            } else if (c == '"') {
-                inStr = false;
-            }
-        } else if (c == '"') {
-            inStr = true;
-        } else if (c == '[' || c == '{') {
-            ++depth;
-        } else if (c == ']' || c == '}') {
-            if (--depth == 0) {
-                *out = json.substr(start, pos - start);
-                return true;
-            }
-        }
-        ++pos;
-    }
-    return false;
-}
-
-/** Splits a JSON array body into its top-level elements (trimmed). */
-std::vector<std::string>
-specElements(const std::string& body)
-{
-    std::vector<std::string> out;
-    int depth = 0;
-    bool inStr = false;
-    std::size_t start = 0;
-    auto emit = [&](std::size_t end) {
-        std::size_t a = start;
-        std::size_t b = end;
-        while (a < b && std::isspace(static_cast<unsigned char>(body[a]))) {
-            ++a;
-        }
-        while (b > a &&
-               std::isspace(static_cast<unsigned char>(body[b - 1]))) {
-            --b;
-        }
-        if (b > a) {
-            out.push_back(body.substr(a, b - a));
-        }
-    };
-    for (std::size_t pos = 0; pos < body.size(); ++pos) {
-        char c = body[pos];
-        if (inStr) {
-            if (c == '\\') {
-                ++pos;
-            } else if (c == '"') {
-                inStr = false;
-            }
-        } else if (c == '"') {
-            inStr = true;
-        } else if (c == '[' || c == '{') {
-            ++depth;
-        } else if (c == ']' || c == '}') {
-            --depth;
-        } else if (c == ',' && depth == 0) {
-            emit(pos);
-            start = pos + 1;
-        }
-    }
-    emit(body.size());
-    return out;
 }
 
 bool
@@ -281,44 +127,59 @@ sweepSpecToJson(const SweepSpec& spec)
 bool
 sweepSpecFromJson(const std::string& json, SweepSpec* out, std::string* err)
 {
+    JsonValue root;
+    std::string why;
+    if (!parseJson(json, &root, &why) || !root.isObject()) {
+        *err = "spec must be one JSON object" +
+               (why.empty() ? std::string() : ": " + why);
+        return false;
+    }
+    auto bad = [err](const std::string& key, const char* what) {
+        *err = "spec key \"" + key + "\" " + what;
+        return false;
+    };
+    const char* kCount = "must be a whole decimal number in range";
     SweepSpec spec;
-    specString(json, "name", &spec.name);
-    if (!specU64(json, "warmup_instrs", &spec.warmupInstrs) ||
-        !specU64(json, "measure_instrs", &spec.measureInstrs)) {
-        *err = "spec needs numeric warmup_instrs and measure_instrs";
-        return false;
+    if (!root.getOptional("name", &spec.name)) {
+        return bad("name", "must be a string");
     }
-    std::string body;
-    if (specArray(json, "workloads", &body)) {
-        for (const std::string& el : specElements(body)) {
-            std::string w;
-            if (!specString("{\"v\":" + el + "}", "v", &w)) {
-                *err = "workloads must be an array of strings";
-                return false;
-            }
-            spec.workloads.push_back(std::move(w));
+    if (!root.get("warmup_instrs", &spec.warmupInstrs)) {
+        return bad("warmup_instrs", kCount);
+    }
+    if (!root.get("measure_instrs", &spec.measureInstrs)) {
+        return bad("measure_instrs", kCount);
+    }
+    const JsonValue* v = root.find("workloads");
+    if (v) {
+        bool ok = v->isArray();
+        for (std::size_t i = 0; ok && i < v->items.size(); ++i) {
+            ok = v->items[i].as(&spec.workloads.emplace_back());
+        }
+        if (!ok) {
+            return bad("workloads", "must be an array of strings");
         }
     }
-    if (!specArray(json, "configs", &body)) {
-        *err = "spec needs a configs array";
-        return false;
+    v = root.find("configs");
+    if (!v || !v->isArray() || v->items.empty()) {
+        return bad("configs", "must be a non-empty array of objects");
     }
-    for (const std::string& el : specElements(body)) {
+    for (std::size_t i = 0; i < v->items.size(); ++i) {
+        const JsonValue& el = v->items[i];
+        std::string at = "configs[" + std::to_string(i) + "]";
         SpecConfig c;
-        if (!specString(el, "label", &c.label) ||
-            !specString(el, "preset", &c.preset)) {
-            *err = "every config needs label and preset";
-            return false;
-        }
         std::uint64_t ftq = 0;
-        if (specU64(el, "ftq", &ftq)) {
-            c.ftq = static_cast<unsigned>(ftq);
+        if (!el.get("label", &c.label)) {
+            return bad(at + ".label", "must be a string");
         }
+        if (!el.get("preset", &c.preset)) {
+            return bad(at + ".preset", "must be a string");
+        }
+        if (!el.getOptional("ftq", &ftq) ||
+            ftq > std::numeric_limits<unsigned>::max()) {
+            return bad(at + ".ftq", kCount);
+        }
+        c.ftq = static_cast<unsigned>(ftq);
         spec.configs.push_back(std::move(c));
-    }
-    if (spec.configs.empty()) {
-        *err = "spec has no configs";
-        return false;
     }
     *out = std::move(spec);
     return true;

@@ -1,7 +1,7 @@
 #include "sim/workqueue.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
+#include <dirent.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <vector>
@@ -166,7 +167,12 @@ connectWithTimeout(const std::string& host, int port, double timeoutSec,
         }
         return -1;
     }
-    int fd = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
+    // Every queue socket is close-on-exec: a program exec'd by this
+    // process must not hold a copy (a copied listener keeps the port
+    // accepting after its owner closes it).
+    int fd = ::socket(res->ai_family,
+                      res->ai_socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                      res->ai_protocol);
     if (fd < 0) {
         ::freeaddrinfo(res);
         if (err) {
@@ -174,8 +180,6 @@ connectWithTimeout(const std::string& host, int port, double timeoutSec,
         }
         return -1;
     }
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
     rc = ::connect(fd, res->ai_addr, res->ai_addrlen);
     ::freeaddrinfo(res);
     if (rc != 0 && errno != EINPROGRESS) {
@@ -654,7 +658,7 @@ TcpQueueServer::listen(const std::string& host, int port, Handlers handlers,
     }
     wire::installSigpipeIgnore();
     impl->handlers = std::move(handlers);
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (fd < 0) {
         *err = std::string("socket(): ") + std::strerror(errno);
         return false;
@@ -687,8 +691,6 @@ TcpQueueServer::listen(const std::string& host, int port, Handlers handlers,
     socklen_t len = sizeof(addr);
     ::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len);
     impl->boundPort = ntohs(addr.sin_port);
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
     impl->listenFd = fd;
     return true;
 }
@@ -729,12 +731,11 @@ TcpQueueServer::poll(double timeoutSec)
     }
     if (pfds[0].revents & POLLIN) {
         for (;;) {
-            int cfd = ::accept(impl->listenFd, nullptr, nullptr);
+            int cfd = ::accept4(impl->listenFd, nullptr, nullptr,
+                                SOCK_NONBLOCK | SOCK_CLOEXEC);
             if (cfd < 0) {
                 break;
             }
-            int flags = ::fcntl(cfd, F_GETFL, 0);
-            ::fcntl(cfd, F_SETFL, flags | O_NONBLOCK);
             int one = 1;
             ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
             Impl::Conn c;
@@ -788,6 +789,30 @@ void
 TcpQueueServer::close()
 {
     impl->closeAll();
+}
+
+void
+closeInheritedListeners()
+{
+    DIR* dir = ::opendir("/proc/self/fd");
+    if (dir == nullptr) {
+        return;
+    }
+    std::vector<int> listeners;
+    while (const struct dirent* ent = ::readdir(dir)) {
+        int fd = std::atoi(ent->d_name); // 0 for "." and ".."
+        int on = 0;
+        socklen_t len = sizeof(on);
+        if (fd > 2 &&
+            ::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &on, &len) == 0 &&
+            on != 0) {
+            listeners.push_back(fd);
+        }
+    }
+    ::closedir(dir);
+    for (int fd : listeners) {
+        ::close(fd);
+    }
 }
 
 bool

@@ -157,6 +157,15 @@ bool queryQueueStatus(const std::string& endpoint, double timeoutSec,
                       std::string* statusJson, std::string* err);
 
 /**
+ * For a child forked (without exec) from a coordinator process: closes
+ * every listening socket it inherited. Queue sockets are close-on-exec,
+ * but a plain fork still copies the coordinator's listener; a child
+ * holding that copy keeps the port accepting after the coordinator has
+ * closed it, so the child's own RPCs to it wait out their timeout.
+ */
+void closeInheritedListeners();
+
+/**
  * Coordinator-side TCP server: a single-threaded poll loop multiplexing
  * worker connections and dispatching framed RPCs into the handler
  * callbacks (which the coordinator backs with its LeaseTable +

@@ -31,89 +31,16 @@ formatNumber(double v)
 {
     char buf[64];
     // Counters serialize as plain integers (not "4e+05"); everything else
-    // uses the shortest representation that round-trips.
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        std::abs(v) < 1e15) {
+    // uses the shortest representation that round-trips. The range test
+    // comes first: casting NaN or a huge value to an integer is undefined.
+    if (std::abs(v) < 1e15 &&
+        v == static_cast<double>(static_cast<long long>(v))) {
         std::to_chars_result res = std::to_chars(
             buf, buf + sizeof(buf), static_cast<long long>(v));
         return std::string(buf, res.ptr);
     }
     std::to_chars_result res = std::to_chars(buf, buf + sizeof(buf), v);
     return std::string(buf, res.ptr);
-}
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-                out += hex;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-bool
-jsonUnescape(const std::string& s, std::string* out)
-{
-    out->clear();
-    out->reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        char c = s[i];
-        if (c != '\\') {
-            *out += c;
-            continue;
-        }
-        if (++i >= s.size()) {
-            return false;
-        }
-        switch (s[i]) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case '/': *out += '/'; break;
-        case 'n': *out += '\n'; break;
-        case 'r': *out += '\r'; break;
-        case 't': *out += '\t'; break;
-        case 'u': {
-            if (i + 4 >= s.size()) {
-                return false;
-            }
-            unsigned v = 0;
-            for (int k = 0; k < 4; ++k) {
-                char h = s[++i];
-                v <<= 4;
-                if (h >= '0' && h <= '9') {
-                    v |= static_cast<unsigned>(h - '0');
-                } else if (h >= 'a' && h <= 'f') {
-                    v |= static_cast<unsigned>(h - 'a' + 10);
-                } else if (h >= 'A' && h <= 'F') {
-                    v |= static_cast<unsigned>(h - 'A' + 10);
-                } else {
-                    return false;
-                }
-            }
-            // jsonEscape only emits \u00xx for control bytes.
-            *out += static_cast<char>(v & 0xFF);
-            break;
-        }
-        default: return false;
-        }
-    }
-    return true;
 }
 
 namespace {
@@ -193,79 +120,60 @@ reportToCsvRow(const Report& r)
 
 namespace {
 
-/** Assigns one parsed numeric stat to its Report field; the key table
- *  mirrors Report::toStatSet() (tested by Sink.ReportJsonRoundTrip). */
+/** Assigns one parsed member to its Report field; the key tables mirror
+ *  Report::toStatSet() (tested by Sink.ReportJsonLineRoundTripsExactly). */
 bool
-setReportStat(Report* r, const std::string& key, double v)
+setReportField(Report* r, const std::string& key, const JsonValue& v)
 {
-    auto u64 = [v] { return static_cast<std::uint64_t>(v); };
-    if (key == "instructions") {
-        r->instructions = u64();
-    } else if (key == "cycles") {
-        r->cycles = u64();
-    } else if (key == "ipc") {
-        r->ipc = v;
-    } else if (key == "icache_mpki") {
-        r->icacheMpki = v;
-    } else if (key == "mshr_hits_pki") {
-        r->mshrHitsPki = v;
-    } else if (key == "timeliness") {
-        r->timeliness = v;
-    } else if (key == "l1_hit_ratio") {
-        r->l1HitRatio = v;
-    } else if (key == "lost_instr_per_kilo") {
-        r->lostInstrPerKilo = v;
-    } else if (key == "prefetches_emitted") {
-        r->prefetchesEmitted = u64();
-    } else if (key == "onpath_ratio") {
-        r->onPathRatio = v;
-    } else if (key == "usefulness") {
-        r->usefulness = v;
-    } else if (key == "usefulness_hw") {
-        r->usefulnessHw = v;
-    } else if (key == "avg_ftq_occupancy") {
-        r->avgFtqOccupancy = v;
-    } else if (key == "branch_mpki") {
-        r->branchMpki = v;
-    } else if (key == "cond_mispredict_rate") {
-        r->condMispredictRate = v;
-    } else if (key == "resteers") {
-        r->resteers = u64();
-    } else if (key == "decode_corrections") {
-        r->decodeCorrections = u64();
-    } else if (key == "udp_dropped") {
-        r->udpDropped = u64();
-    } else if (key == "udp_filtered_emits") {
-        r->udpFilteredEmits = u64();
-    } else if (key == "udp_learned") {
-        r->udpLearned = u64();
-    } else {
-        return false;
+    static const std::pair<const char*, std::uint64_t Report::*> kCounts[] = {
+        {"instructions", &Report::instructions},
+        {"cycles", &Report::cycles},
+        {"prefetches_emitted", &Report::prefetchesEmitted},
+        {"resteers", &Report::resteers},
+        {"decode_corrections", &Report::decodeCorrections},
+        {"udp_dropped", &Report::udpDropped},
+        {"udp_filtered_emits", &Report::udpFilteredEmits},
+        {"udp_learned", &Report::udpLearned},
+    };
+    static const std::pair<const char*, double Report::*> kReals[] = {
+        {"ipc", &Report::ipc},
+        {"icache_mpki", &Report::icacheMpki},
+        {"mshr_hits_pki", &Report::mshrHitsPki},
+        {"timeliness", &Report::timeliness},
+        {"l1_hit_ratio", &Report::l1HitRatio},
+        {"lost_instr_per_kilo", &Report::lostInstrPerKilo},
+        {"onpath_ratio", &Report::onPathRatio},
+        {"usefulness", &Report::usefulness},
+        {"usefulness_hw", &Report::usefulnessHw},
+        {"avg_ftq_occupancy", &Report::avgFtqOccupancy},
+        {"branch_mpki", &Report::branchMpki},
+        {"cond_mispredict_rate", &Report::condMispredictRate},
+    };
+    if (key == "workload") {
+        return v.as(&r->workload);
     }
-    return true;
-}
-
-/** Scans a quoted JSON string starting at s[pos] == '"'; leaves pos one
- *  past the closing quote and returns the unescaped content. */
-bool
-scanJsonString(const std::string& s, std::size_t* pos, std::string* out)
-{
-    if (*pos >= s.size() || s[*pos] != '"') {
-        return false;
+    if (key == "config") {
+        return v.as(&r->configName);
     }
-    std::size_t start = ++*pos;
-    while (*pos < s.size() && s[*pos] != '"') {
-        if (s[*pos] == '\\') {
-            ++*pos; // skip the escaped character (covers \")
+    for (const auto& [name, field] : kReals) {
+        if (key == name) {
+            return v.as(&(r->*field));
         }
-        ++*pos;
     }
-    if (*pos >= s.size()) {
-        return false;
+    for (const auto& [name, field] : kCounts) {
+        // Counters are written through formatNumber(double), so they
+        // read back as doubles that must be whole and in uint64 range.
+        if (key == name) {
+            double d = 0.0;
+            if (!v.as(&d) || !(d >= 0.0 && d < 0x1p64) ||
+                d != std::floor(d)) {
+                return false;
+            }
+            r->*field = static_cast<std::uint64_t>(d);
+            return true;
+        }
     }
-    std::string raw = s.substr(start, *pos - start);
-    ++*pos; // closing quote
-    return jsonUnescape(raw, out);
+    return false; // unknown key, or a failure row ("error_kind")
 }
 
 } // namespace
@@ -273,51 +181,15 @@ scanJsonString(const std::string& s, std::size_t* pos, std::string* out)
 bool
 reportFromJsonLine(const std::string& line, Report* out)
 {
+    JsonValue root;
+    if (!parseJson(line, &root) || !root.isObject()) {
+        return false;
+    }
     Report r;
-    std::size_t pos = 0;
-    if (pos >= line.size() || line[pos] != '{') {
-        return false;
-    }
-    ++pos;
-    bool first = true;
-    while (pos < line.size() && line[pos] != '}') {
-        if (!first && line[pos] == ',') {
-            ++pos;
-        }
-        first = false;
-        std::string key;
-        if (!scanJsonString(line, &pos, &key)) {
+    for (std::size_t i = 0; i < root.keys.size(); ++i) {
+        if (!setReportField(&r, root.keys[i], root.items[i])) {
             return false;
         }
-        if (pos >= line.size() || line[pos] != ':') {
-            return false;
-        }
-        ++pos;
-        if (key == "workload" || key == "config") {
-            std::string val;
-            if (!scanJsonString(line, &pos, &val)) {
-                return false;
-            }
-            (key == "workload" ? r.workload : r.configName) = val;
-            continue;
-        }
-        std::size_t end = pos;
-        while (end < line.size() && line[end] != ',' && line[end] != '}') {
-            ++end;
-        }
-        double v = 0.0;
-        std::from_chars_result res =
-            std::from_chars(line.data() + pos, line.data() + end, v);
-        if (res.ec != std::errc{} || res.ptr != line.data() + end) {
-            return false;
-        }
-        if (!setReportStat(&r, key, v)) {
-            return false; // unknown key, or a failure row ("error_kind")
-        }
-        pos = end;
-    }
-    if (pos >= line.size() || line[pos] != '}') {
-        return false;
     }
     *out = std::move(r);
     return true;

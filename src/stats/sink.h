@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "obs/profiler.h"
+#include "stats/json.h"
 #include "stats/telemetry.h"
 
 namespace udp {
@@ -54,13 +55,6 @@ struct FailureRow
  *  integers serialize plain, never in exponent notation. */
 std::string formatNumber(double v);
 
-/** JSON string escaping (quotes, backslash, control characters). Shared
- *  with the sweep manifest and the isolated-execution pipe protocol. */
-std::string jsonEscape(const std::string& s);
-
-/** Inverse of jsonEscape(); returns false on a malformed escape. */
-bool jsonUnescape(const std::string& s, std::string* out);
-
 /** Ordered list of failure-row schema keys. */
 std::vector<std::string> failureSchemaKeys();
 
@@ -93,7 +87,8 @@ std::string reportToCsvRow(const Report& r);
  * parsed Report reproduces the input byte for byte. Used by the
  * checkpoint manifest (sim/manifest.h) and the isolated-execution pipe
  * protocol (sim/procexec.h). Returns false (leaving @p out unspecified)
- * on malformed input, unknown keys, or a failure row (key "error_kind").
+ * on malformed JSON (stats/json.h), unknown keys, a failure row (key
+ * "error_kind"), or a counter that is not a whole number in uint64 range.
  */
 bool reportFromJsonLine(const std::string& line, Report* out);
 

@@ -1,14 +1,13 @@
 /**
  * @file
- * Unit tests for src/common: hashing, RNG, saturating counters, integer
- * math and histograms.
+ * Unit tests for src/common: hashing, RNG, saturating counters and
+ * integer math.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "common/histogram.h"
 #include "common/intmath.h"
 #include "common/rng.h"
 #include "common/sat_counter.h"
@@ -203,44 +202,6 @@ TEST(Types, LineAndBlockHelpers)
     EXPECT_EQ(lineAddr(0x1040), 0x1040u);
     EXPECT_EQ(fetchBlockAddr(0x101f), 0x1000u);
     EXPECT_EQ(fetchBlockAddr(0x1020), 0x1020u);
-}
-
-TEST(Histogram, MeanAndBuckets)
-{
-    Histogram h(10);
-    h.sample(1);
-    h.sample(3);
-    h.sample(5);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-    EXPECT_EQ(h.bucket(3), 1u);
-}
-
-TEST(Histogram, OverflowBucket)
-{
-    Histogram h(4);
-    h.sample(100);
-    EXPECT_EQ(h.bucket(h.numBuckets() - 1), 1u);
-    EXPECT_DOUBLE_EQ(h.mean(), 100.0);
-}
-
-TEST(Histogram, Percentile)
-{
-    Histogram h(100);
-    for (int i = 1; i <= 100; ++i) {
-        h.sample(static_cast<std::uint64_t>(i));
-    }
-    EXPECT_NEAR(static_cast<double>(h.percentile(0.5)), 50.0, 1.0);
-    EXPECT_NEAR(static_cast<double>(h.percentile(0.9)), 90.0, 1.0);
-}
-
-TEST(Histogram, Clear)
-{
-    Histogram h(10);
-    h.sample(2);
-    h.clear();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 
 } // namespace

@@ -339,13 +339,14 @@ TEST(Sink, JsonEscapeRoundTrips)
          {std::string("plain"), std::string("quote\"back\\slash"),
           std::string("line\nbreak\ttab\rcr"),
           std::string("ctrl\x01\x1f"), std::string("")}) {
-        std::string unescaped;
-        ASSERT_TRUE(jsonUnescape(jsonEscape(s), &unescaped));
-        EXPECT_EQ(unescaped, s);
+        const std::string quoted = "\"" + jsonEscape(s) + "\"";
+        JsonValue v;
+        ASSERT_TRUE(parseJson(quoted, &v));
+        EXPECT_EQ(v.text, s);
     }
-    std::string out;
-    EXPECT_FALSE(jsonUnescape("bad\\", &out));
-    EXPECT_FALSE(jsonUnescape("bad\\q", &out));
+    JsonValue v;
+    EXPECT_FALSE(parseJson("\"bad\\\"", &v));
+    EXPECT_FALSE(parseJson("\"bad\\q\"", &v));
 }
 
 TEST(Sink, WritesJsonlAndCsvFiles)

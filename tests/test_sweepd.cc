@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -999,6 +1000,66 @@ TEST(TcpQueueServer, MalformedFramesNeverReachAHandler)
     {
         std::lock_guard<std::mutex> lock(mtx);
         EXPECT_EQ(calls.back().str, "after-fuzz");
+    }
+}
+
+/**
+ * Forks a child that sleeps 3 s: one that execs `sleep`, or one that
+ * stays in this image and drops its inherited listeners as udp_sweepd's
+ * local workers do. Returns once the child has done so (a close-on-exec
+ * pipe reads EOF at exec, or when the forked child closes it).
+ */
+pid_t
+spawnSleeper(bool exec)
+{
+    int fds[2];
+    if (::pipe2(fds, O_CLOEXEC) != 0) {
+        return -1;
+    }
+    pid_t pid = ::fork();
+    if (pid == 0) {
+        if (exec) {
+            ::execlp("sleep", "sleep", "3", static_cast<char*>(nullptr));
+            ::_exit(127);
+        }
+        closeInheritedListeners();
+        ::close(fds[1]);
+        ::sleep(3);
+        ::_exit(0);
+    }
+    ::close(fds[1]);
+    char byte = 0;
+    while (::read(fds[0], &byte, 1) > 0) {
+    }
+    ::close(fds[0]);
+    return pid;
+}
+
+TEST(TcpQueueServer, ForkedChildrenHoldNoListenerAfterClose)
+{
+    // A child holding a copy of the coordinator's listener keeps its port
+    // accepting after close(): a new client then connects and waits out
+    // its RPC timeout (5 s here) instead of failing at once.
+    TcpQueueServer server;
+    std::string err;
+    ASSERT_TRUE(server.listen("127.0.0.1", 0, {}, &err)) << err;
+    std::string endpoint = "tcp:127.0.0.1:" + std::to_string(server.port());
+    pid_t children[2] = {spawnSleeper(true), spawnSleeper(false)};
+    ASSERT_GT(children[0], 0);
+    ASSERT_GT(children[1], 0);
+    server.close();
+
+    auto t0 = std::chrono::steady_clock::now();
+    std::unique_ptr<WorkQueue> q = openWorkQueue(endpoint, 5.0, &err);
+    double sec = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+    EXPECT_EQ(q, nullptr);
+    EXPECT_LT(sec, 1.0) << err;
+    for (pid_t pid : children) {
+        ::kill(pid, SIGKILL);
+        int status = 0;
+        ::waitpid(pid, &status, 0);
     }
 }
 

@@ -159,6 +159,7 @@ forkWorker(const Args& a, const std::string& endpoint,
     if (pid != 0) {
         return pid;
     }
+    closeInheritedListeners();
     std::string err;
     std::unique_ptr<WorkQueue> q = openWorkQueue(endpoint, 5.0, &err);
     if (q == nullptr) {
