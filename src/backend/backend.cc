@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
+#include "core/udp_engine.h"
 #include "workload/outcome.h"
 
 namespace udp {
@@ -326,9 +327,8 @@ Backend::retire(Cycle now)
             }
         }
 
-        // Branches retire with resolution info; non-branches are simple.
-        if (onRetirePc) {
-            onRetirePc(e.di.pc);
+        if (udp_) {
+            udp_->onRetire(e.di.pc);
         }
 
         if (e.di.type == InstrType::Load) {

@@ -13,7 +13,6 @@
 #define UDP_BACKEND_BACKEND_H
 
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <string>
 #include <vector>
@@ -27,6 +26,8 @@
 #include "workload/true_stream.h"
 
 namespace udp {
+
+class UdpEngine;
 
 /** Backend configuration (Table II). */
 struct BackendConfig
@@ -96,8 +97,9 @@ class Backend
     /** Dispatched, not yet issued instructions (unified RS occupancy). */
     unsigned rsOccupancy() const { return rsCount; }
 
-    /** Hook: invoked with the pc of every retired instruction. */
-    std::function<void(Addr)> onRetirePc;
+    /** Attaches UDP (nullptr = none): it sees the pc of every retired
+     *  instruction (retire-time useful-set learning). */
+    void setUdp(UdpEngine* udp) { udp_ = udp; }
 
     const BackendStats& stats() const { return stats_; }
     void clearStats() { stats_ = BackendStats(); }
@@ -204,6 +206,7 @@ class Backend
     MemSystem& mem;
     Bpu& bpu;
     BranchRecordMap& records;
+    UdpEngine* udp_ = nullptr;
     BackendConfig cfg;
 
     /**

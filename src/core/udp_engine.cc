@@ -50,15 +50,6 @@ UdpEngine::evaluate(const FtqEntry& entry, Addr line)
 }
 
 void
-UdpEngine::onBlockConsumed(const FtqEntry& entry)
-{
-    // Candidates are inserted at FDIP-evaluation time (see evaluate());
-    // consumption needs no extra action but is kept as an explicit event
-    // for the DropYounger flush-policy ablation.
-    (void)entry;
-}
-
-void
 UdpEngine::onRetire(Addr pc)
 {
     if (sftq.matchAndRemove(lineAddr(pc))) {

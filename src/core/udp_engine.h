@@ -56,7 +56,6 @@ class UdpEngine
     // --- frontend-side hooks -------------------------------------------
     void onCondPredicted(Confidence c) { conf.onCondPredicted(c); }
     void onBtbMissTaken();
-    void onResteer() { conf.reset(); }
     bool assumedOffPath() const { return conf.assumedOffPath(); }
 
     // --- FDIP-side -------------------------------------------------------
@@ -73,10 +72,7 @@ class UdpEngine
     /** @p n prefetched lines were evicted unused (clear-policy feedback). */
     void noteUnuseful(std::uint64_t n) { set.noteUnuseful(n); }
 
-    // --- fetch/backend-side ----------------------------------------------
-    /** A block left the FTQ after consumption by the fetch engine. */
-    void onBlockConsumed(const FtqEntry& entry);
-
+    // --- backend-side ----------------------------------------------------
     /** The backend retired the (on-path) instruction at @p pc. */
     void onRetire(Addr pc);
 

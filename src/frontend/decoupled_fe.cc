@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "common/intmath.h"
+#include "core/udp_engine.h"
 #include "stats/telemetry.h"
 
 namespace udp {
@@ -41,23 +42,17 @@ DecoupledFrontend::tick(Cycle now)
             ++stats_.stallCyclesFtqFull;
             return;
         }
-        if (!buildBlock(now)) {
-            return;
-        }
+        buildBlock();
     }
 }
 
-bool
-DecoupledFrontend::buildBlock(Cycle now)
+void
+DecoupledFrontend::buildBlock()
 {
-    (void)now;
     FtqEntry entry;
-    entry.id = ftq.allocId();
     entry.startPc = pc;
     entry.onPath = aligned;
-    if (hooks_.assumedOffPath) {
-        entry.assumedOffPath = hooks_.assumedOffPath();
-    }
+    entry.assumedOffPath = udp_ && udp_->assumedOffPath();
 
     Addr cur = pc;
     const Addr region_end = fetchBlockAddr(pc) + kFetchBlockBytes;
@@ -82,81 +77,15 @@ DecoupledFrontend::buildBlock(Cycle now)
         }
 
         // Hardware view: the BTB tells the frontend where branches are.
-        const BtbEntry* be = bpu.btb().lookup(cur);
-        bool terminate = false;
-
-        if (be) {
-            fi.predictedBranch = true;
+        if (const BtbEntry* be = bpu.btb().lookup(cur)) {
             BranchRecord rec;
-            rec.kind = be->kind;
-            rec.ckpt = bpu.checkpoint();
-
-            switch (be->kind) {
-              case BranchKind::CondDirect: {
-                rec.cond = bpu.predictCond(cur);
-                if (hooks_.onCondPredicted) {
-                    hooks_.onCondPredicted(rec.cond.conf);
-                }
-                fi.predTaken = rec.cond.taken;
-                fi.predTarget = be->target;
-                terminate = fi.predTaken;
-                break;
-              }
-              case BranchKind::Jump:
-                fi.predTaken = true;
-                fi.predTarget = be->target;
-                bpu.notifyUnconditional(cur);
-                terminate = true;
-                break;
-              case BranchKind::Call:
-                fi.predTaken = true;
-                fi.predTarget = be->target;
-                bpu.pushReturn(cur + kInstrBytes);
-                bpu.notifyUnconditional(cur);
-                terminate = true;
-                break;
-              case BranchKind::IndirectJump:
-              case BranchKind::IndirectCall: {
-                rec.indirect = bpu.predictIndirect(cur);
-                Addr tgt = rec.indirect.target;
-                if (tgt == kInvalidAddr) {
-                    tgt = be->target; // BTB hint (last-known target)
-                }
-                if (tgt == kInvalidAddr) {
-                    tgt = cur + kInstrBytes; // cold: fall through
-                }
-                fi.predTaken = true;
-                fi.predTarget = tgt;
-                if (be->kind == BranchKind::IndirectCall) {
-                    bpu.pushReturn(cur + kInstrBytes);
-                }
-                bpu.notifyUnconditional(cur);
-                terminate = true;
-                break;
-              }
-              case BranchKind::Return: {
-                Addr tgt = bpu.predictReturn();
-                if (tgt == kInvalidAddr) {
-                    tgt = cur + kInstrBytes;
-                }
-                fi.predTaken = true;
-                fi.predTarget = tgt;
-                bpu.notifyUnconditional(cur);
-                terminate = true;
-                break;
-              }
-              case BranchKind::None:
-                fi.predictedBranch = false;
-                break;
-            }
-            if (fi.predictedBranch) {
-                records.emplace(fi.dynId, std::move(rec));
-            }
+            fi.predictedBranch = true;
+            fi.predTarget = predictBranch(cur, be->kind, be->target, rec);
+            fi.predTaken = fi.predTarget != kInvalidAddr;
+            records.emplace(fi.dynId, std::move(rec));
         }
 
-        Addr my_next = fi.predTaken && fi.predictedBranch
-                           ? fi.predTarget
-                           : cur + kInstrBytes;
+        Addr my_next = fi.predTaken ? fi.predTarget : cur + kInstrBytes;
 
         // Ground-truth alignment: did this speculative step leave the
         // architectural path? (Covers mispredictions *and* BTB misses on
@@ -171,7 +100,7 @@ DecoupledFrontend::buildBlock(Cycle now)
 
         entry.instrs[entry.numInstrs++] = fi;
         cur += kInstrBytes;
-        if (terminate) {
+        if (fi.predTaken) {
             next_pc = fi.predTarget;
             break;
         }
@@ -184,7 +113,49 @@ DecoupledFrontend::buildBlock(Cycle now)
 
     ++stats_.blocksBuilt;
     ftq.push(std::move(entry));
-    return true;
+}
+
+Addr
+DecoupledFrontend::predictBranch(Addr branch_pc, BranchKind kind,
+                                 Addr btb_target, BranchRecord& rec)
+{
+    assert(kind != BranchKind::None && "only branches are predicted");
+    rec.kind = kind;
+    rec.ckpt = bpu.checkpoint();
+    const Addr fall_through = branch_pc + kInstrBytes;
+    Addr target = btb_target;
+
+    switch (kind) {
+      case BranchKind::CondDirect:
+        rec.cond = bpu.predictCond(branch_pc);
+        if (udp_) {
+            udp_->onCondPredicted(rec.cond.conf);
+        }
+        return rec.cond.taken ? btb_target : kInvalidAddr;
+      case BranchKind::Jump:
+        break;
+      case BranchKind::Call:
+        bpu.pushReturn(fall_through);
+        break;
+      case BranchKind::IndirectJump:
+      case BranchKind::IndirectCall:
+        rec.indirect = bpu.predictIndirect(branch_pc);
+        if (rec.indirect.target != kInvalidAddr) {
+            target = rec.indirect.target;
+        }
+        if (kind == BranchKind::IndirectCall) {
+            bpu.pushReturn(fall_through);
+        }
+        break;
+      case BranchKind::Return:
+        target = bpu.predictReturn();
+        break;
+      case BranchKind::None:
+        return kInvalidAddr;
+    }
+    bpu.notifyUnconditional(branch_pc);
+    // Cold indirect or empty RAS: fall through.
+    return target != kInvalidAddr ? target : fall_through;
 }
 
 void
@@ -198,6 +169,9 @@ DecoupledFrontend::resteer(Cycle resume_at, Addr new_pc, bool is_aligned,
     ++stats_.resteers;
     if (from_decode) {
         ++stats_.decodeResteers;
+        if (udp_) {
+            udp_->onBtbMissTaken();
+        }
     }
     if (telem_) {
         telem_->onResteer(pc, from_decode);

@@ -10,7 +10,6 @@
 #define UDP_FRONTEND_DECOUPLED_FE_H
 
 #include <cstdint>
-#include <functional>
 
 #include "bpred/bpu.h"
 #include "common/types.h"
@@ -21,6 +20,8 @@
 
 namespace udp {
 
+class UdpEngine;
+
 /** Frontend configuration. */
 struct FrontendConfig
 {
@@ -30,17 +31,6 @@ struct FrontendConfig
     Cycle execResteerPenalty = 3;
     /** Redirect bubble after a decode-stage (post-fetch) resteer. */
     Cycle decodeResteerPenalty = 4;
-};
-
-/** Hooks the frontend raises towards UDP (optional; may be empty). */
-struct FrontendHooks
-{
-    /** A conditional direction was predicted with this confidence. */
-    std::function<void(Confidence)> onCondPredicted;
-    /** A predicted-taken branch missed the BTB (decode detected). */
-    std::function<void()> onBtbMissTaken;
-    /** Current off-path assumption for tagging new blocks. */
-    std::function<bool()> assumedOffPath;
 };
 
 /** Frontend statistics. */
@@ -73,17 +63,33 @@ class DecoupledFrontend
      * @param new_pc next fetch address
      * @param aligned the redirect lands on the architectural path
      * @param next_stream_idx TrueStream position of new_pc when aligned
-     * @param from_decode accounting only
+     * @param from_decode a decode-detected taken BTB miss: also raises
+     *        UDP's BTB-miss signal
      */
     void resteer(Cycle resume_at, Addr new_pc, bool aligned,
                  std::uint64_t next_stream_idx, bool from_decode);
+
+    /**
+     * Predicts the branch of @p kind at @p branch_pc and records the
+     * prediction state (checkpoint, direction, indirect target) in @p rec.
+     * Shared by block building (BTB hit) and post-fetch correction
+     * (decode).
+     * @param btb_target taken target of a direct branch, and the
+     *        last-known target hint of an indirect one (kInvalidAddr if
+     *        none)
+     * @return the predicted next pc, or kInvalidAddr for not-taken
+     */
+    Addr predictBranch(Addr branch_pc, BranchKind kind, Addr btb_target,
+                       BranchRecord& rec);
 
     Addr specPc() const { return pc; }
     bool isAligned() const { return aligned; }
     std::uint64_t streamIndex() const { return streamIdx; }
     std::uint64_t nextDynId() const { return dynIdCounter; }
 
-    FrontendHooks& hooks() { return hooks_; }
+    /** Attaches UDP (nullptr = none): it sees every conditional
+     *  prediction and decode resteer, and tags new blocks. */
+    void setUdp(UdpEngine* udp) { udp_ = udp; }
 
     const FrontendStats& stats() const { return stats_; }
     void clearStats() { stats_ = FrontendStats(); }
@@ -92,8 +98,8 @@ class DecoupledFrontend
     void setTelemetry(Telemetry* t) { telem_ = t; }
 
   private:
-    /** Builds one fetch block; returns false when the FTQ is full. */
-    bool buildBlock(Cycle now);
+    /** Builds one fetch block into the (non-full) FTQ. */
+    void buildBlock();
 
     /** Clamps a speculative pc into the code image (wrap-around). */
     Addr clampPc(Addr a) const;
@@ -104,7 +110,7 @@ class DecoupledFrontend
     Ftq& ftq;
     BranchRecordMap& records;
     FrontendConfig cfg;
-    FrontendHooks hooks_;
+    UdpEngine* udp_ = nullptr;
 
     Addr pc;
     bool aligned = true;

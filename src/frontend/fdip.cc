@@ -10,29 +10,24 @@ FdipEngine::FdipEngine(MemSystem& m, Ftq& q, const FdipConfig& c)
 }
 
 void
-FdipEngine::onFtqPop()
-{
-    if (scanIdx > 0) {
-        --scanIdx;
-    }
-}
-
-void
 FdipEngine::tick(Cycle now)
 {
-    if (!cfg.enabled) {
+    if (!cfg.enabled || ftq.empty()) {
         return;
     }
+    const std::uint64_t head_id = ftq.front().id;
+    std::size_t idx = nextScanId > head_id ? nextScanId - head_id : 0;
     unsigned budget = cfg.blocksPerCycle;
-    while (budget > 0 && scanIdx < ftq.size()) {
-        FtqEntry& e = ftq.at(scanIdx);
-        ++scanIdx;
+    while (budget > 0 && idx < ftq.size()) {
+        FtqEntry& e = ftq.at(idx);
+        ++idx;
         if (e.prefetchProbed) {
             continue;
         }
         probe(e, now);
         --budget;
     }
+    nextScanId = head_id + idx;
 }
 
 void

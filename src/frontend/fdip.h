@@ -52,14 +52,13 @@ class FdipEngine
     /** Telemetry attachment (null = disabled). */
     void setTelemetry(Telemetry* t) { telem_ = t; }
 
-    /** Scans up to blocksPerCycle unprobed FTQ blocks. */
+    /**
+     * Scans up to blocksPerCycle unprobed FTQ blocks, resuming at the
+     * first block not yet scanned. The position is an FTQ entry id, so
+     * pops and flushes need no notification: a popped head only moves
+     * front() up to it, and a flush leaves it behind every new id.
+     */
     void tick(Cycle now);
-
-    /** The fetch stage consumed the FTQ head. */
-    void onFtqPop();
-
-    /** The FTQ was flushed (resteer). */
-    void onFtqFlush() { scanIdx = 0; }
 
     const FdipStats& stats() const { return stats_; }
     void clearStats() { stats_ = FdipStats(); }
@@ -72,7 +71,8 @@ class FdipEngine
     FdipConfig cfg;
     UdpEngine* udp_ = nullptr;
     Telemetry* telem_ = nullptr;
-    std::size_t scanIdx = 0;
+    /** Id of the next FTQ block to scan. */
+    std::uint64_t nextScanId = 0;
     FdipStats stats_;
 };
 

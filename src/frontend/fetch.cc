@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cstdio>
 
+#include "prefetch/eip.h"
+
 namespace udp {
 
 FetchStage::FetchStage(const Program& prog, Bpu& bp, MemSystem& m, Ftq& q,
@@ -14,12 +16,32 @@ FetchStage::FetchStage(const Program& prog, Bpu& bp, MemSystem& m, Ftq& q,
 }
 
 void
-FetchStage::flushAll()
+FetchStage::squashFtq()
 {
-    decodeQ.clear();
+    for (std::size_t i = 0; i < ftq.size(); ++i) {
+        const FtqEntry& e = ftq.at(i);
+        for (unsigned k = 0; k < e.numInstrs; ++k) {
+            if (e.instrs[k].predictedBranch) {
+                records.erase(e.instrs[k].dynId);
+            }
+        }
+    }
+    ftq.flush();
     headAccessed = false;
     headReady = 0;
     headConsumed = 0;
+}
+
+void
+FetchStage::flushAll()
+{
+    squashFtq();
+    for (const DecodedInstr& di : decodeQ) {
+        if (di.predictedBranch) {
+            records.erase(di.dynId);
+        }
+    }
+    decodeQ.clear();
 }
 
 bool
@@ -41,91 +63,29 @@ FetchStage::postFetchCorrect(DecodedInstr& di, Cycle now)
     bpu.btb().insert(di.pc, sin.branch, direct_target);
 
     BranchRecord rec;
-    rec.kind = sin.branch;
     rec.fromDecode = true;
-    rec.ckpt = bpu.checkpoint();
-
-    bool taken = true;
-    Addr target = direct_target;
-
-    switch (sin.branch) {
-      case BranchKind::CondDirect:
-        rec.cond = bpu.predictCond(di.pc);
-        if (frontend.hooks().onCondPredicted) {
-            frontend.hooks().onCondPredicted(rec.cond.conf);
-        }
-        taken = rec.cond.taken;
-        break;
-      case BranchKind::Jump:
-        bpu.notifyUnconditional(di.pc);
-        break;
-      case BranchKind::Call:
-        bpu.pushReturn(di.pc + kInstrBytes);
-        bpu.notifyUnconditional(di.pc);
-        break;
-      case BranchKind::IndirectJump:
-      case BranchKind::IndirectCall:
-        rec.indirect = bpu.predictIndirect(di.pc);
-        target = rec.indirect.target;
-        if (target == kInvalidAddr) {
-            target = di.pc + kInstrBytes;
-        }
-        if (sin.branch == BranchKind::IndirectCall) {
-            bpu.pushReturn(di.pc + kInstrBytes);
-        }
-        bpu.notifyUnconditional(di.pc);
-        break;
-      case BranchKind::Return:
-        target = bpu.predictReturn();
-        if (target == kInvalidAddr) {
-            target = di.pc + kInstrBytes;
-        }
-        bpu.notifyUnconditional(di.pc);
-        break;
-      case BranchKind::None:
-        break;
-    }
-
     di.predictedBranch = true;
-    di.predTaken = taken;
-    di.predTarget = taken ? target : kInvalidAddr;
+    di.predTarget =
+        frontend.predictBranch(di.pc, sin.branch, direct_target, rec);
+    di.predTaken = di.predTarget != kInvalidAddr;
     records.emplace(di.dynId, std::move(rec));
 
-    if (!taken) {
+    if (!di.predTaken) {
         // Sequential continuation was correct from the frontend's point of
         // view: no resteer needed.
         return false;
     }
 
     // Taken: everything younger in the frontend is wrong-path relative to
-    // the decode-corrected direction. Flush FTQ + younger decode state and
-    // resteer. (The paper's UDP treats this as an assume-off-path signal.)
-    if (frontend.hooks().onBtbMissTaken) {
-        frontend.hooks().onBtbMissTaken();
-    }
+    // the decode-corrected direction, including the not-yet-delivered
+    // remainder of the head block. Squash the FTQ and resteer; the
+    // frontend raises UDP's assume-off-path (BTB-miss) signal.
     ++stats_.decodeResteers;
-
-    // Drop the not-yet-delivered remainder of the head block.
-    headAccessed = false;
-    headReady = 0;
-    headConsumed = 0;
-    // Erase records of squashed FTQ instructions.
-    for (std::size_t i = 0; i < ftq.size(); ++i) {
-        const FtqEntry& e = ftq.at(i);
-        for (unsigned k = 0; k < e.numInstrs; ++k) {
-            if (e.instrs[k].predictedBranch) {
-                records.erase(e.instrs[k].dynId);
-            }
-        }
-    }
-    ftq.flush();
-    if (onFtqFlushed) {
-        onFtqFlushed();
-    }
+    squashFtq();
 
     bool aligned = di.onPath;
     std::uint64_t next_idx = di.streamIdx + 1;
-    frontend.resteer(now + 1, target, aligned, next_idx,
+    frontend.resteer(now + 1, di.predTarget, aligned, next_idx,
                      /*from_decode=*/true);
     return true;
 }
@@ -155,8 +115,8 @@ FetchStage::tick(Cycle now)
             if (res.where == IFetchWhere::Stall) {
                 break; // MSHR full: retry next cycle
             }
-            if (onIFetchAccess) {
-                onIFetchAccess(lineAddr(head.startPc),
+            if (eip_) {
+                eip_->onAccess(lineAddr(head.startPc),
                                res.where == IFetchWhere::L1, now);
             }
             headAccessed = true;
@@ -209,12 +169,9 @@ FetchStage::tick(Cycle now)
         }
 
         if (headConsumed >= head.numInstrs) {
-            FtqEntry done = ftq.popFront();
+            ftq.popFront();
             headAccessed = false;
             headConsumed = 0;
-            if (onBlockConsumed) {
-                onBlockConsumed(done);
-            }
         } else {
             break; // width exhausted mid-block
         }

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 
 #include "bpred/bpu.h"
@@ -24,6 +23,8 @@
 #include "workload/program.h"
 
 namespace udp {
+
+class Eip;
 
 /** A decoded dynamic instruction ready for dispatch. */
 struct DecodedInstr
@@ -80,16 +81,13 @@ class FetchStage
     /** Decode output queue (backend dispatch pulls from here). */
     std::deque<DecodedInstr>& decodeQueue() { return decodeQ; }
 
-    /** Squashes everything in fetch/decode (execute-stage resteer). */
+    /** Squashes everything in fetch/decode (execute-stage resteer): the
+     *  FTQ and the decode queue, with their branch records. */
     void flushAll();
 
-    /** Callback invoked when a block fully leaves the FTQ (UDP hook). */
-    std::function<void(const FtqEntry&)> onBlockConsumed;
-    /** Callback invoked on every demand icache access: (line, hit, now).
-     *  Used by access-trained prefetchers such as EIP. */
-    std::function<void(Addr, bool, Cycle)> onIFetchAccess;
-    /** Callback invoked on any FTQ flush from decode (FDIP scan reset). */
-    std::function<void()> onFtqFlushed;
+    /** Attaches EIP (nullptr = none): it trains on every demand icache
+     *  access, wrong path included. */
+    void setEip(Eip* eip) { eip_ = eip; }
 
     const FetchStats& stats() const { return stats_; }
     void clearStats() { stats_ = FetchStats(); }
@@ -105,6 +103,12 @@ class FetchStage
     std::string dumpState(Cycle now) const;
 
   private:
+    /**
+     * Squashes the FTQ: releases the branch records of its blocks,
+     * flushes it and drops the head block's fetch progress.
+     */
+    void squashFtq();
+
     /**
      * Post-fetch correction for one delivered instruction. Returns true
      * when a decode resteer happened (stop delivering younger).
@@ -127,6 +131,7 @@ class FetchStage
     unsigned headConsumed = 0;
 
     FetchStats stats_;
+    Eip* eip_ = nullptr;
     Telemetry* telem_ = nullptr;
 };
 

@@ -24,6 +24,7 @@ void
 Ftq::push(FtqEntry e)
 {
     assert(!full());
+    e.id = nextId++;
     ++stats_.pushes;
     if (telem_) {
         telem_->onFtqPush(e.startPc);
@@ -31,13 +32,11 @@ Ftq::push(FtqEntry e)
     q.push_back(std::move(e));
 }
 
-FtqEntry
+void
 Ftq::popFront()
 {
     assert(!q.empty());
-    FtqEntry e = std::move(q.front());
     q.pop_front();
-    return e;
 }
 
 void
@@ -97,9 +96,9 @@ Ftq::checkInvariants(bool full) const
                 return buf;
             }
         }
-        if (full && i > 0 && q[i - 1].id >= e.id) {
+        if (full && i > 0 && q[i - 1].id + 1 != e.id) {
             std::snprintf(buf, sizeof(buf),
-                          "entry ids not monotonic at %zu (%llu >= %llu)",
+                          "entry ids not consecutive at %zu (%llu then %llu)",
                           i, static_cast<unsigned long long>(q[i - 1].id),
                           static_cast<unsigned long long>(e.id));
             return buf;

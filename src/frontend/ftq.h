@@ -40,7 +40,8 @@ struct FtqInstr
 /** One fetch block (32 B aligned region, terminated early by taken CTI). */
 struct FtqEntry
 {
-    std::uint64_t id = 0; ///< monotonically increasing entry id
+    /** Assigned by Ftq::push: consecutive across pops and flushes. */
+    std::uint64_t id = 0;
     Addr startPc = kInvalidAddr;
     std::uint8_t numInstrs = 0;
     std::array<FtqInstr, kInstrsPerFetchBlock> instrs;
@@ -99,7 +100,10 @@ class Ftq
      */
     void setCapacity(std::size_t c);
 
-    /** Appends a block; the caller must check full() first. */
+    /**
+     * Appends a block and assigns its id (one more than the previous
+     * push's); the caller must check full() first.
+     */
     void push(FtqEntry e);
 
     /** Oldest block (fetch side). */
@@ -107,7 +111,7 @@ class Ftq
     const FtqEntry& front() const { return q.front(); }
 
     /** Pops the oldest block after the fetch stage consumed it. */
-    FtqEntry popFront();
+    void popFront();
 
     /** Random access from oldest (0) to newest (size-1), for FDIP scan. */
     FtqEntry& at(std::size_t i) { return q[i]; }
@@ -134,7 +138,8 @@ class Ftq
      * Invariant check (sim/invariants.h): size against the physical
      * bound, capacity against [1, physical] and per-entry well-formedness
      * (instruction count, valid addresses). @p full additionally verifies
-     * entry-id monotonicity. Returns the first violation, or "".
+     * that entry ids are consecutive (FDIP derives its scan position from
+     * them). Returns the first violation, or "".
      */
     std::string checkInvariants(bool full) const;
 
@@ -151,10 +156,6 @@ class Ftq
     std::size_t capacity_;
     std::uint64_t nextId = 1;
     FtqStats stats_;
-
-  public:
-    /** Allocates the next entry id (used by the frontend). */
-    std::uint64_t allocId() { return nextId++; }
 };
 
 } // namespace udp

@@ -1,5 +1,7 @@
 #include "sim/cpu.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdio>
 
 #include "sim/invariants.h"
@@ -42,15 +44,9 @@ Cpu::Cpu(const Program& prog, const SimConfig& c) : cfg(c), program(prog)
 
     if (cfg.udpEnabled) {
         udp_ = std::make_unique<UdpEngine>(cfg.udp);
+        fe_->setUdp(udp_.get());
         fdip_->setUdp(udp_.get());
-        fe_->hooks().onCondPredicted = [this](Confidence c2) {
-            udp_->onCondPredicted(c2);
-        };
-        fe_->hooks().onBtbMissTaken = [this]() { udp_->onBtbMissTaken(); };
-        fe_->hooks().assumedOffPath = [this]() {
-            return udp_->assumedOffPath();
-        };
-        backend_->onRetirePc = [this](Addr pc) { udp_->onRetire(pc); };
+        backend_->setUdp(udp_.get());
     }
 
     if (cfg.uftq.mode != UftqMode::Off) {
@@ -59,19 +55,8 @@ Cpu::Cpu(const Program& prog, const SimConfig& c) : cfg(c), program(prog)
 
     if (cfg.eipEnabled) {
         eip_ = std::make_unique<Eip>(*mem_, cfg.eip);
-        fetch_->onIFetchAccess = [this](Addr line, bool hit, Cycle t) {
-            eip_->onAccess(line, hit, t);
-        };
+        fetch_->setEip(eip_.get());
     }
-
-    // Fetch-side plumbing (UDP Seniority-FTQ + FDIP scan pointer).
-    fetch_->onBlockConsumed = [this](const FtqEntry& e) {
-        fdip_->onFtqPop();
-        if (udp_) {
-            udp_->onBlockConsumed(e);
-        }
-    };
-    fetch_->onFtqFlushed = [this]() { fdip_->onFtqFlush(); };
 
     if (cfg.telemetry.enabled) {
         telemetry_ = std::make_unique<Telemetry>(cfg.telemetry);
@@ -113,24 +98,13 @@ Cpu::telemetryCounters() const
 void
 Cpu::applyResteer(const ResteerRequest& req)
 {
-    // Erase records of everything still in the frontend.
-    for (std::size_t i = 0; i < ftq_->size(); ++i) {
-        const FtqEntry& e = ftq_->at(i);
-        for (unsigned k = 0; k < e.numInstrs; ++k) {
-            if (e.instrs[k].predictedBranch) {
-                records_.erase(e.instrs[k].dynId);
-            }
-        }
-    }
-    for (const DecodedInstr& di : fetch_->decodeQueue()) {
-        if (di.predictedBranch && di.dynId > req.squashAfterDynId) {
-            records_.erase(di.dynId);
-        }
-    }
-
-    ftq_->flush();
+    // Everything still in fetch/decode is younger than the squash point.
+    assert(std::all_of(fetch_->decodeQueue().begin(),
+                       fetch_->decodeQueue().end(),
+                       [&](const DecodedInstr& di) {
+                           return di.dynId > req.squashAfterDynId;
+                       }));
     fetch_->flushAll();
-    fdip_->onFtqFlush();
     if (udp_) {
         udp_->onFlush(req.squashAfterDynId);
     }
@@ -240,7 +214,7 @@ Cpu::cycle()
         checkInvariants(*this, /*full=*/false);
     }
 #ifdef UDP_CHECK
-    // Expensive sweep (credit recounts, id monotonicity) on a tight
+    // Expensive sweep (credit recounts, FTQ id sequence) on a tight
     // cadence — debug builds only.
     if ((now_ & 0x3f) == 0) {
         checkInvariants(*this, /*full=*/true);

@@ -11,6 +11,7 @@
 #include <algorithm>
 
 #include "backend/backend.h"
+#include "core/udp_engine.h"
 
 namespace udp {
 namespace {
@@ -165,19 +166,25 @@ TEST(Backend, RetiresInOrderAndCounts)
 TEST(Backend, RetireHookSeesEveryPc)
 {
     BackendHarness h;
-    std::vector<Addr> retired_pcs;
-    h.be->onRetirePc = [&](Addr pc) { retired_pcs.push_back(pc); };
+    UdpEngine udp{UdpConfig{}};
+    h.be->setUdp(&udp);
+    FtqEntry candidate;
+    candidate.assumedOffPath = true;
     Cycle now = 1;
-    // Read the pcs before retirement discards these stream positions.
-    std::vector<Addr> expected;
     for (std::uint64_t i = 0; i < 4; ++i) {
-        expected.push_back(h.stream.at(i).pc);
+        // Arm the Seniority-FTQ with the line of the next pc to retire
+        // (read before retirement discards this stream position): the
+        // retirement must match and consume it.
+        udp.evaluate(candidate, h.stream.at(i).pc);
+        ASSERT_EQ(udp.seniorityOccupancy(), 1u);
         h.be->dispatch(h.decoded(i), now);
+        for (std::uint64_t want = i + 1; h.be->retired() < want && now < 600;
+             ++now) {
+            h.be->tick(now);
+        }
+        EXPECT_EQ(udp.stats().retireMatches, i + 1);
+        EXPECT_EQ(udp.seniorityOccupancy(), 0u);
     }
-    for (now = 2; now < 600; ++now) {
-        h.be->tick(now);
-    }
-    EXPECT_EQ(retired_pcs, expected);
 }
 
 TEST(Backend, IssueWidthBoundsThroughput)

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <utility>
+#include <vector>
+
 #include "frontend/decoupled_fe.h"
 #include "frontend/fdip.h"
 #include "frontend/fetch.h"
@@ -23,14 +27,16 @@ TEST(Ftq, CapacityAndPushPop)
     EXPECT_TRUE(q.empty());
     for (int i = 0; i < 4; ++i) {
         FtqEntry e;
-        e.id = q.allocId();
         e.startPc = 0x400000 + Addr{i} * 32;
         q.push(std::move(e));
     }
     EXPECT_TRUE(q.full());
     EXPECT_EQ(q.size(), 4u);
-    FtqEntry head = q.popFront();
-    EXPECT_EQ(head.startPc, 0x400000u);
+    EXPECT_EQ(q.front().startPc, 0x400000u);
+    EXPECT_EQ(q.front().id, 1u);
+    EXPECT_EQ(q.at(3).id, 4u); // push assigns consecutive ids
+    q.popFront();
+    EXPECT_EQ(q.front().startPc, 0x400020u);
     EXPECT_FALSE(q.full());
 }
 
@@ -47,9 +53,7 @@ TEST(Ftq, ShrinkRetainsEntries)
 {
     Ftq q(64, 8);
     for (int i = 0; i < 8; ++i) {
-        FtqEntry e;
-        e.id = q.allocId();
-        q.push(std::move(e));
+        q.push(FtqEntry{});
     }
     q.setCapacity(2);
     EXPECT_EQ(q.size(), 8u); // drains naturally
@@ -59,12 +63,30 @@ TEST(Ftq, ShrinkRetainsEntries)
 TEST(Ftq, FlushClearsAndCounts)
 {
     Ftq q(64, 8);
-    FtqEntry e;
-    e.id = q.allocId();
-    q.push(std::move(e));
+    q.push(FtqEntry{});
     q.flush();
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.stats().flushes, 1u);
+    q.push(FtqEntry{});
+    EXPECT_EQ(q.front().id, 2u); // ids stay consecutive across a flush
+}
+
+TEST(Ftq, FullCheckReportsIdGap)
+{
+    Ftq q(64, 8);
+    for (int i = 0; i < 3; ++i) {
+        FtqEntry e;
+        e.numInstrs = 1;
+        e.startPc = 0x400000 + static_cast<Addr>(i) * 32;
+        e.instrs[0].pc = e.startPc;
+        q.push(std::move(e));
+    }
+    EXPECT_EQ(q.checkInvariants(true), "");
+    q.at(2).id += 1; // still increasing, but FDIP's scan position skews
+    EXPECT_EQ(q.checkInvariants(false), "");
+    EXPECT_NE(q.checkInvariants(true).find("ids not consecutive at 2"),
+              std::string::npos)
+        << q.checkInvariants(true);
 }
 
 TEST(Ftq, LineOfBlock)
@@ -201,7 +223,6 @@ TEST(Fdip, PrefetchesMissingBlocks)
     FdipEngine fdip(mem, ftq, FdipConfig{});
 
     FtqEntry e;
-    e.id = 1;
     e.startPc = 0x400000;
     e.onPath = true;
     ftq.push(std::move(e));
@@ -221,7 +242,6 @@ TEST(Fdip, SkipsResidentBlocks)
     FdipEngine fdip(mem, ftq, FdipConfig{});
 
     FtqEntry e;
-    e.id = 1;
     e.startPc = 0x400000;
     ftq.push(std::move(e));
     fdip.tick(1);
@@ -239,7 +259,6 @@ TEST(Fdip, RespectsScanBudget)
 
     for (int i = 0; i < 6; ++i) {
         FtqEntry e;
-        e.id = static_cast<std::uint64_t>(i + 1);
         e.startPc = 0x400000 + Addr{i} * 64; // distinct lines
         ftq.push(std::move(e));
     }
@@ -258,7 +277,6 @@ TEST(Fdip, DisabledDoesNothing)
     cfg.enabled = false;
     FdipEngine fdip(mem, ftq, cfg);
     FtqEntry e;
-    e.id = 1;
     e.startPc = 0x400000;
     ftq.push(std::move(e));
     fdip.tick(1);
@@ -272,19 +290,117 @@ TEST(Fdip, FlushResetsScan)
     FdipEngine fdip(mem, ftq, FdipConfig{});
     for (int i = 0; i < 2; ++i) {
         FtqEntry e;
-        e.id = static_cast<std::uint64_t>(i + 1);
         e.startPc = 0x400000 + Addr{i} * 64;
         ftq.push(std::move(e));
     }
     fdip.tick(1);
     ftq.flush();
-    fdip.onFtqFlush();
     FtqEntry e;
-    e.id = 10;
     e.startPc = 0x500000;
     ftq.push(std::move(e));
     fdip.tick(2);
     EXPECT_TRUE(mem.icacheLineInFlight(0x500000));
+}
+
+/**
+ * FDIP's scan position before it was read from FTQ ids: an index into the
+ * FTQ that a pop decrements (when positive) and a flush resets.
+ */
+struct IndexScanModel
+{
+    std::deque<std::pair<Addr, bool>> q; ///< (startPc, probed)
+    std::size_t scanIdx = 0;
+
+    std::vector<Addr>
+    tick(unsigned budget)
+    {
+        std::vector<Addr> probed;
+        while (budget > 0 && scanIdx < q.size()) {
+            auto& [pc, done] = q[scanIdx++];
+            if (!done) {
+                done = true;
+                probed.push_back(pc);
+                --budget;
+            }
+        }
+        return probed;
+    }
+};
+
+TEST(Fdip, ScanPositionFollowsPopsAndFlushes)
+{
+    MemSystem mem{MemSysConfig{}};
+    Ftq ftq(64, 32);
+    FdipConfig cfg;
+    cfg.blocksPerCycle = 2;
+    FdipEngine fdip(mem, ftq, cfg);
+    IndexScanModel model;
+    Addr next_pc = 0x400000;
+    Cycle now = 0;
+
+    auto push = [&](int n) {
+        for (int i = 0; i < n; ++i, next_pc += kLineBytes) {
+            FtqEntry e;
+            e.startPc = next_pc;
+            ftq.push(std::move(e));
+            model.q.emplace_back(next_pc, false);
+        }
+    };
+    auto pop = [&]() {
+        ftq.popFront();
+        model.q.pop_front();
+        if (model.scanIdx > 0) {
+            --model.scanIdx;
+        }
+    };
+    auto flush = [&]() {
+        ftq.flush();
+        model.q.clear();
+        model.scanIdx = 0;
+    };
+    // Ticks both; returns FDIP's newly probed blocks, oldest first.
+    auto tick = [&]() {
+        std::vector<bool> before;
+        for (std::size_t i = 0; i < ftq.size(); ++i) {
+            before.push_back(ftq.at(i).prefetchProbed);
+        }
+        fdip.tick(++now);
+        std::vector<Addr> probed;
+        for (std::size_t i = 0; i < ftq.size(); ++i) {
+            if (!before[i] && ftq.at(i).prefetchProbed) {
+                probed.push_back(ftq.at(i).startPc);
+            }
+        }
+        EXPECT_EQ(probed, model.tick(cfg.blocksPerCycle)) << "tick " << now;
+        return probed;
+    };
+
+    push(3);
+    pop(); // unscanned head
+    EXPECT_EQ(tick(), (std::vector<Addr>{0x400040, 0x400080}));
+    push(3);
+    pop(); // scanned head
+    EXPECT_EQ(tick().size(), 2u);
+    push(2);
+    EXPECT_EQ(tick().size(), 2u);
+    ASSERT_FALSE(ftq.at(ftq.size() - 1).prefetchProbed);
+    flush(); // mid-scan: the last block was never scanned
+    push(2);
+    EXPECT_EQ(tick().size(), 2u);
+    push(3);
+    ftq.setCapacity(2); // UFTQ shrink: the entries stay and drain
+    ASSERT_EQ(ftq.size(), 5u);
+    EXPECT_EQ(tick().size(), 2u);
+    pop();
+    EXPECT_EQ(tick().size(), 1u);
+    while (!ftq.empty()) {
+        pop();
+    }
+    EXPECT_TRUE(tick().empty());
+    ftq.setCapacity(32);
+    push(1);
+    EXPECT_EQ(tick().size(), 1u);
+    EXPECT_EQ(fdip.stats().blocksScanned, 12u);
 }
 
 // -------------------------------------------------------------------- EIP

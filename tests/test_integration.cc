@@ -181,6 +181,25 @@ TEST(Integration, UdpDropsOffPathAssumedCandidates)
     EXPECT_GT(r.udpLearned, 0u);
 }
 
+TEST(Integration, UdpSeesEveryPredictionAndDecodeResteer)
+{
+    // The frontend raises UDP's signals itself: every conditional
+    // prediction (block building and decode correction) and every decode
+    // resteer.
+    Profile p = testProfile("xgboost", 512);
+    Program prog = ProgramBuilder::build(p);
+    Cpu cpu(prog, presets::udp8k());
+    cpu.runUntilRetired(30'000);
+    cpu.clearStats();
+    cpu.runUntilRetired(60'000);
+    ASSERT_NE(cpu.udp(), nullptr);
+    const ConfidenceStats& conf = cpu.udp()->confidenceStats();
+    EXPECT_GT(conf.predictionsSeen, 0u);
+    EXPECT_GT(conf.btbMissEvents, 0u);
+    EXPECT_EQ(conf.predictionsSeen, cpu.bpu().stats().condPredictions);
+    EXPECT_EQ(conf.btbMissEvents, cpu.fetch().stats().decodeResteers);
+}
+
 TEST(Integration, UftqAdjustsDepth)
 {
     Profile p = testProfile("clang", 512);
