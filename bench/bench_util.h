@@ -13,15 +13,15 @@
 #ifndef UDP_BENCH_BENCH_UTIL_H
 #define UDP_BENCH_BENCH_UTIL_H
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
-
-#include <chrono>
 
 #include "obs/eventlog.h"
 #include "sim/faultinject.h"
@@ -48,14 +48,6 @@ defaultOptions()
 /** FTQ depths used by the Section III sweeps. */
 inline const std::vector<unsigned>&
 sweepDepths()
-{
-    static const std::vector<unsigned> d = {8, 16, 24, 32, 48, 64, 96, 128};
-    return d;
-}
-
-/** Coarser sweep for finding each app's optimal (OPT oracle) depth. */
-inline const std::vector<unsigned>&
-optSearchDepths()
 {
     static const std::vector<unsigned> d = {8, 16, 24, 32, 48, 64, 96, 128};
     return d;
@@ -167,6 +159,22 @@ parseSinkArgs(int argc, char** argv,
 }
 
 /**
+ * @p path without the first of @p exts it ends with; a path that is
+ * nothing but the extension is kept whole.
+ */
+inline std::string
+stripExtension(std::string path, std::initializer_list<std::string_view> exts)
+{
+    for (std::string_view e : exts) {
+        if (path.size() > e.size() && path.ends_with(e)) {
+            path.erase(path.size() - e.size());
+            break;
+        }
+    }
+    return path;
+}
+
+/**
  * The checkpoint manifest path for @p args: explicit --manifest wins,
  * else it is derived from the CSV (or JSON) artifact path by replacing
  * the extension with ".manifest.jsonl". "" when no artifact is requested
@@ -178,19 +186,13 @@ defaultManifestPath(const SinkArgs& args)
     if (!args.manifestPath.empty()) {
         return args.manifestPath;
     }
-    std::string base = !args.csvPath.empty() ? args.csvPath : args.jsonPath;
+    const std::string& base =
+        !args.csvPath.empty() ? args.csvPath : args.jsonPath;
     if (base.empty()) {
         return "";
     }
-    for (const char* ext : {".csv", ".jsonl", ".json"}) {
-        std::string e = ext;
-        if (base.size() > e.size() &&
-            base.compare(base.size() - e.size(), e.size(), e) == 0) {
-            base.erase(base.size() - e.size());
-            break;
-        }
-    }
-    return base + ".manifest.jsonl";
+    return stripExtension(base, {".csv", ".jsonl", ".json"}) +
+           ".manifest.jsonl";
 }
 
 /**
@@ -289,21 +291,32 @@ applyProfile(std::vector<SweepJob>* jobs, const SinkArgs& args)
     }
 }
 
-/**
- * Fault-tolerant sweep used by every bench: a crashing or hanging point
- * never aborts the figure. Failed points get diagnostic dumps under
- * kFailureDumpDir and surface through writeArtifactsChecked()'s exit
- * code and failure rows. With @p args, the shared execution-mode flags
- * apply: --isolate forks each point (default 4096 MB RLIMIT_AS),
- * --resume replays completed points from the checkpoint manifest, and
- * SIGINT/SIGTERM drain in-flight points before exiting.
- */
 /** Shard-manifest directory paired with the checkpoint manifest. */
 inline std::string
 shardDirOf(const SinkArgs& args)
 {
     std::string m = defaultManifestPath(args);
     return m.empty() ? std::string() : m + ".shards";
+}
+
+/**
+ * How each point of a bench runs, local or distributed: failure dumps
+ * under kFailureDumpDir and, with --isolate, a forked child per point
+ * under the --mem-mb (default 4096 MB) / --cpu-sec / --wall-sec limits.
+ */
+inline JobExecOptions
+execOptionsOf(const SinkArgs& args)
+{
+    JobExecOptions e;
+    e.dumpDir = kFailureDumpDir;
+    e.isolate = args.isolate;
+    if (args.isolate) {
+        e.memLimitBytes =
+            (args.memLimitMb == 0 ? 4096 : args.memLimitMb) << 20;
+        e.cpuLimitSec = args.cpuLimitSec;
+        e.wallLimitSec = args.wallLimitSec;
+    }
+    return e;
 }
 
 /**
@@ -333,14 +346,7 @@ runBenchWorker(const std::vector<SweepJob>& jobs, const SinkArgs& args)
         wo.name = n;
     }
     wo.shardDir = shardDirOf(args);
-    wo.exec.dumpDir = kFailureDumpDir;
-    wo.exec.isolate = args.isolate;
-    if (args.isolate) {
-        wo.exec.memLimitBytes =
-            (args.memLimitMb == 0 ? 4096 : args.memLimitMb) << 20;
-        wo.exec.cpuLimitSec = args.cpuLimitSec;
-        wo.exec.wallLimitSec = args.wallLimitSec;
-    }
+    wo.exec = execOptionsOf(args);
     if (const char* d = std::getenv("UDP_WORKER_DELAY_MS")) {
         wo.jobDelayMs =
             static_cast<unsigned>(std::strtoul(d, nullptr, 10));
@@ -394,6 +400,15 @@ runBenchCoordinated(std::vector<SweepJob> jobs, const SinkArgs& args)
     return coord.run();
 }
 
+/**
+ * Fault-tolerant sweep used by every bench: a crashing or hanging point
+ * never aborts the figure. Failed points get diagnostic dumps under
+ * kFailureDumpDir and surface through writeArtifactsChecked()'s exit
+ * code and failure rows. The shared execution-mode flags in @p args
+ * apply: --isolate forks each point (execOptionsOf()), --resume replays
+ * completed points from the checkpoint manifest, and SIGINT/SIGTERM
+ * drain in-flight points before exiting.
+ */
 inline std::vector<JobResult>
 runBenchSweep(std::vector<SweepJob> jobs, const SinkArgs& args)
 {
@@ -407,14 +422,7 @@ runBenchSweep(std::vector<SweepJob> jobs, const SinkArgs& args)
         return runBenchCoordinated(std::move(jobs), args);
     }
     SweepOptions o;
-    o.dumpDir = kFailureDumpDir;
-    o.isolate = args.isolate;
-    if (args.isolate) {
-        o.memLimitBytes =
-            (args.memLimitMb == 0 ? 4096 : args.memLimitMb) << 20;
-        o.cpuLimitSec = args.cpuLimitSec;
-        o.wallLimitSec = args.wallLimitSec;
-    }
+    o.exec = execOptionsOf(args);
     o.manifestPath = defaultManifestPath(args);
     o.resume = args.resume && !o.manifestPath.empty();
     if (args.resume && o.manifestPath.empty()) {
@@ -423,13 +431,6 @@ runBenchSweep(std::vector<SweepJob> jobs, const SinkArgs& args)
     }
     o.handleSignals = true;
     return runSweepChecked(jobs, o);
-}
-
-/** Legacy entry point: default execution mode, no artifacts. */
-inline std::vector<JobResult>
-runBenchSweep(const std::vector<SweepJob>& jobs)
-{
-    return runBenchSweep(jobs, SinkArgs{});
 }
 
 /** Converts a failed job to its machine-readable sink failure row. */
@@ -488,9 +489,9 @@ findOptimalFtqBatch(const std::vector<Profile>& profiles,
                     const SinkArgs& args = SinkArgs{})
 {
     std::vector<SweepJob> jobs;
-    jobs.reserve(profiles.size() * optSearchDepths().size());
+    jobs.reserve(profiles.size() * sweepDepths().size());
     for (const Profile& p : profiles) {
-        for (unsigned d : optSearchDepths()) {
+        for (unsigned d : sweepDepths()) {
             jobs.push_back({p, presets::fdipWithFtq(d), opts,
                             "ftq" + std::to_string(d)});
         }
@@ -504,7 +505,7 @@ findOptimalFtqBatch(const std::vector<Profile>& profiles,
         unsigned best_depth = 32;
         Report best_report;
         bool first = true;
-        for (unsigned d : optSearchDepths()) {
+        for (unsigned d : sweepDepths()) {
             const JobResult& jr = results[i];
             if (!jr.ok) {
                 // Skipped points (graceful shutdown) are not failures.
@@ -548,23 +549,6 @@ banner(const char* figure, const char* what)
     std::printf("==============================================================\n");
 }
 
-/** Writes @p reports to the sinks requested in @p args (no-op if none). */
-inline void
-writeArtifacts(const SinkArgs& args, const std::vector<Report>& reports)
-{
-    ReportSink sink;
-    if (!args.jsonPath.empty()) {
-        sink.openJson(args.jsonPath);
-    }
-    if (!args.csvPath.empty()) {
-        sink.openCsv(args.csvPath);
-    }
-    if (sink.active()) {
-        sink.writeAll(reports);
-        sink.close();
-    }
-}
-
 /**
  * Writes @p reports plus @p failures to the requested sinks, prints the
  * failure summary, and returns the process exit code: 0 on a clean
@@ -599,17 +583,14 @@ finishArtifacts(const SinkArgs& args, const std::vector<Report>& reports,
     return 0;
 }
 
-/** "<stem>.jsonl" sibling of the --interval-stats CSV path. */
+/**
+ * "<stem>.jsonl" sibling of the --interval-stats CSV path. Only ".csv"
+ * is stripped, so a ".jsonl" interval path cannot map onto itself.
+ */
 inline std::string
 telemetryJsonlPath(const std::string& csvPath)
 {
-    std::string base = csvPath;
-    std::string e = ".csv";
-    if (base.size() > e.size() &&
-        base.compare(base.size() - e.size(), e.size(), e) == 0) {
-        base.erase(base.size() - e.size());
-    }
-    return base + ".jsonl";
+    return stripExtension(csvPath, {".csv"}) + ".jsonl";
 }
 
 /**
@@ -673,20 +654,13 @@ writeTelemetryArtifacts(const SinkArgs& args,
 inline std::string
 profileJsonlPath(const SinkArgs& args)
 {
-    std::string base =
+    const std::string& base =
         !args.jsonPath.empty() ? args.jsonPath : args.csvPath;
     if (base.empty()) {
         return std::string();
     }
-    for (const char* e : {".jsonl", ".json", ".csv"}) {
-        std::size_t n = std::strlen(e);
-        if (base.size() > n &&
-            base.compare(base.size() - n, n, e) == 0) {
-            base.erase(base.size() - n);
-            break;
-        }
-    }
-    return base + ".profile.jsonl";
+    return stripExtension(base, {".jsonl", ".json", ".csv"}) +
+           ".profile.jsonl";
 }
 
 /**

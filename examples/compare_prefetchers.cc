@@ -96,10 +96,10 @@ main(int argc, char** argv)
         jobs.push_back({prof, e.cfg, opts, e.name});
     }
     SweepOptions sweep_opts;
-    sweep_opts.isolate = isolate;
+    sweep_opts.exec.isolate = isolate;
     if (isolate) {
-        sweep_opts.memLimitBytes = std::uint64_t{4096} << 20;
-        sweep_opts.wallLimitSec = wall_sec;
+        sweep_opts.exec.memLimitBytes = std::uint64_t{4096} << 20;
+        sweep_opts.exec.wallLimitSec = wall_sec;
     }
     sweep_opts.manifestPath = manifest_path;
     sweep_opts.resume = resume && !manifest_path.empty();

@@ -31,7 +31,7 @@ struct WatchdogConfig
     Cycle retireStallCycles = 100'000;
     /** Absolute cycle budget for the whole run; exceeding it throws
      *  SimHang (kind cycle_budget). 0 = unlimited. Sweeps can set this
-     *  per job via SweepOptions::jobCycleBudget. */
+     *  per job via JobExecOptions::jobCycleBudget. */
     Cycle maxCycles = 0;
     /** Cycles between always-on cheap invariant sweeps. 0 disables
      *  periodic sweeps (UDP_CHECK builds still run the full sweep). */

@@ -276,7 +276,7 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
 
     // Isolation shares the parent's Program cache with every child via
     // copy-on-write: build each distinct workload once before forking.
-    if (opts.isolate) {
+    if (opts.exec.isolate) {
         std::unordered_set<std::string> warmed;
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             if (results[i].resumed) {
@@ -300,7 +300,6 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
     std::size_t skippedCount = 0;
     bool stopAnnounced = false;
     const Clock::time_point start = Clock::now();
-    const unsigned max_attempts = opts.maxAttempts == 0 ? 1 : opts.maxAttempts;
 
     auto postProgress = [&](std::size_t jobIndex, const JobResult& jr) {
         // Caller holds mtx; the event log is additionally a single
@@ -372,15 +371,7 @@ SweepRunner::runChecked(const std::vector<SweepJob>& jobs) const
             return;
         }
 
-        JobExecOptions eo;
-        eo.maxAttempts = max_attempts;
-        eo.jobCycleBudget = opts.jobCycleBudget;
-        eo.dumpDir = opts.dumpDir;
-        eo.isolate = opts.isolate;
-        eo.memLimitBytes = opts.memLimitBytes;
-        eo.cpuLimitSec = opts.cpuLimitSec;
-        eo.wallLimitSec = opts.wallLimitSec;
-        jr = runJobChecked(jobs[i], i, eo);
+        jr = runJobChecked(jobs[i], i, opts.exec);
 
         // A failed job still counts as done: progress always reaches
         // total and the ETA is computed from every finished job.

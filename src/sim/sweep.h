@@ -49,12 +49,12 @@ struct JobError
     std::string message;
     /** Multi-component diagnostic dump (SimError only, possibly ""). */
     std::string dump;
-    /** File the dump was written to (SweepOptions::dumpDir), or "". */
+    /** File the dump was written to (JobExecOptions::dumpDir), or "". */
     std::string dumpPath;
     /** Simulated cycle of the failure (SimError only). */
     Cycle cycle = 0;
 
-    // Process-isolation diagnostics (SweepOptions::isolate only).
+    // Process-isolation diagnostics (JobExecOptions::isolate only).
     /** Terminating signal name ("SIGSEGV", "SIGKILL", ...), else "". */
     std::string signal;
     /** Captured tail of the child's stderr (bounded). */
@@ -71,7 +71,7 @@ struct JobResult
 {
     Report report; ///< valid only when ok
     bool ok = false;
-    /** Attempts consumed (1..SweepOptions::maxAttempts); 0 when the job
+    /** Attempts consumed (1..JobExecOptions::maxAttempts); 0 when the job
      *  was resumed from the manifest or skipped. */
     unsigned attempts = 0;
     JobError error; ///< valid only when !ok
@@ -105,27 +105,27 @@ struct SweepProgress
     double etaSec = 0.0;
 };
 
-/** Sweep execution options. */
-struct SweepOptions
+/**
+ * How one job is executed: the retry loop, watchdog budget, failure
+ * dumps and optional process isolation. SweepRunner applies the same
+ * options to every job of a batch (SweepOptions::exec); a distributed
+ * worker (sim/sweepd.h) applies them through runJobChecked(), so a job
+ * behaves and reports the same either way.
+ */
+struct JobExecOptions
 {
-    /** Worker count; 0 means SweepRunner::defaultJobs() (UDP_JOBS env or
-     *  std::thread::hardware_concurrency()). */
-    unsigned numThreads = 0;
-    /** Called after each completed job (from the completing thread, under
-     *  the runner's progress lock). Replaces the stderr progress line. */
-    std::function<void(const SweepProgress&)> onProgress;
-    /** Suppresses the default stderr progress stream. */
-    bool quiet = false;
     /** Attempts per job (>= 1): a failing job is retried maxAttempts-1
      *  times before its failure is recorded. Retries target transient
-     *  host-level faults; a deterministic SimError will simply recur. */
+     *  host-level faults; a deterministic SimError will simply recur.
+     *  Distributed workers usually leave this at 1 and let the
+     *  coordinator's lease policy own the retry budget. */
     unsigned maxAttempts = 1;
     /** Per-job cycle budget: installed as watchdog.maxCycles on every job
      *  whose config leaves it 0, so one pathological sweep point cannot
      *  hang the batch. 0 = leave each job's configuration alone. */
     Cycle jobCycleBudget = 0;
     /** Directory for per-failure diagnostic dump files (created on
-     *  demand). Empty = keep dumps in memory only (JobResult::error). */
+     *  demand). Empty = keep dumps in memory only (JobError::dump). */
     std::string dumpDir;
 
     // --- process isolation (docs/ROBUSTNESS.md, "Isolated execution") ---
@@ -142,6 +142,21 @@ struct SweepOptions
     /** Parent-enforced wall-clock deadline per child in seconds, isolate
      *  only; expiry SIGKILLs the child (error kind "timeout"). 0 = none. */
     double wallLimitSec = 0.0;
+};
+
+/** Sweep execution options. */
+struct SweepOptions
+{
+    /** Worker count; 0 means SweepRunner::defaultJobs() (UDP_JOBS env or
+     *  std::thread::hardware_concurrency()). */
+    unsigned numThreads = 0;
+    /** Called after each completed job (from the completing thread, under
+     *  the runner's progress lock). Replaces the stderr progress line. */
+    std::function<void(const SweepProgress&)> onProgress;
+    /** Suppresses the default stderr progress stream. */
+    bool quiet = false;
+    /** How each job runs (retries, budget, dumps, isolation). */
+    JobExecOptions exec;
 
     // --- checkpoint/resume (docs/ROBUSTNESS.md, "Sweep manifest") ------
     /** JSONL manifest path (sim/manifest.h): every finished job is
@@ -158,30 +173,6 @@ struct SweepOptions
      *  signal falls back to the default disposition and kills the
      *  process (the flushed manifest still allows --resume). */
     bool handleSignals = false;
-};
-
-/**
- * Execution knobs for running one job outside a SweepRunner batch (the
- * distributed-worker path, sim/sweepd.h). A subset of SweepOptions with
- * identical semantics, so a job run through runJobChecked() behaves —
- * and reports — exactly like the same job inside runChecked().
- */
-struct JobExecOptions
-{
-    /** Attempts for this execution (>= 1). Distributed workers usually
-     *  leave this at 1 and let the coordinator's lease policy own the
-     *  retry budget. */
-    unsigned maxAttempts = 1;
-    /** Watchdog budget installed when the job's config leaves it 0. */
-    Cycle jobCycleBudget = 0;
-    /** Directory for failure dump files ("" = in-memory only). */
-    std::string dumpDir;
-    /** Fork-isolated execution (sim/procexec.h); falls back to
-     *  in-process silently where unsupported. */
-    bool isolate = false;
-    std::uint64_t memLimitBytes = 0;
-    std::uint64_t cpuLimitSec = 0;
-    double wallLimitSec = 0.0;
 };
 
 /**

@@ -320,7 +320,7 @@ TEST(SweepChecked, JobCycleBudgetBoundsAHangingJob)
     SweepOptions opts;
     opts.numThreads = 1;
     opts.quiet = true;
-    opts.jobCycleBudget = 20'000;
+    opts.exec.jobCycleBudget = 20'000;
     std::vector<JobResult> results = SweepRunner(opts).runChecked(jobs);
     ASSERT_FALSE(results[0].ok);
     EXPECT_EQ(results[0].error.kind, "cycle_budget");
@@ -333,7 +333,7 @@ TEST(SweepChecked, RetriesAreBoundedAndCounted)
     SweepOptions opts;
     opts.numThreads = 2;
     opts.quiet = true;
-    opts.maxAttempts = 2;
+    opts.exec.maxAttempts = 2;
     std::vector<JobResult> results = SweepRunner(opts).runChecked(jobs);
     ASSERT_EQ(results.size(), jobs.size());
     EXPECT_EQ(results[0].attempts, 1u); // success on the first try
@@ -350,7 +350,7 @@ TEST(SweepChecked, FailureDumpIsWrittenToDumpDir)
     SweepOptions opts;
     opts.numThreads = 1;
     opts.quiet = true;
-    opts.dumpDir = dir;
+    opts.exec.dumpDir = dir;
     std::vector<JobResult> results = SweepRunner(opts).runChecked(jobs);
     ASSERT_FALSE(results[1].ok);
     ASSERT_FALSE(results[1].error.dumpPath.empty());

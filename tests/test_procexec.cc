@@ -129,7 +129,7 @@ TEST(Procexec, CrashingJobDoesNotPoisonTheBatch)
     SweepOptions o;
     o.numThreads = 2;
     o.quiet = true;
-    o.isolate = true;
+    o.exec.isolate = true;
     std::vector<JobResult> r = runSweepChecked(jobs, o);
     ASSERT_EQ(r.size(), 3u);
     EXPECT_TRUE(r[0].ok);

@@ -271,10 +271,7 @@ main(int argc, char** argv)
         so.quiet = a.quiet;
         so.manifestPath = a.manifestPath;
         so.resume = a.resume && !a.manifestPath.empty();
-        so.isolate = a.exec.isolate;
-        so.memLimitBytes = a.exec.memLimitBytes;
-        so.cpuLimitSec = a.exec.cpuLimitSec;
-        so.wallLimitSec = a.exec.wallLimitSec;
+        so.exec = a.exec;
         std::vector<JobResult> results = runSweepChecked(jobs, so);
         return writeArtifacts(a, jobs, results);
     }
